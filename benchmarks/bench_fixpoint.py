@@ -10,17 +10,6 @@ TPC-H workload programs over three backends:
 * ``sqlite-file`` — the same driver against a file-backed (WAL) database
   (``path != ":memory:"``), exercising the persisted generation counter.
 
-The SQLite backends additionally record the **sharded** engine
-(:mod:`repro.datalog.sharded`, ``shards=4``, workers auto-fitted to the
-machine's cores and recorded per row): ``sharded_speedup`` is single-
-connection semi-naive seconds over sharded seconds on the staged path,
-``sharded_fast_speedup`` the same ratio for the install-only fast paths.
-On a single-core container the sharded engine can at best match the
-single-connection driver (the ratios hover around 1.0 or below — the
-``cpus`` meta field records why); on multi-core hardware the per-shard
-SELECTs overlap on WAL reader connections and the ratio is expected to
-clear the parallel-win target.
-
 A ``wcoj`` axis benches the cyclic workload family
 (:mod:`repro.workloads.cyclic`) on the in-memory backend with the join
 strategy forced both ways via ``REPRO_FORCE_PLAN``: ``wcoj_speedup`` is
@@ -120,10 +109,6 @@ COUNTING_BATCHES = 6
 
 SEED = 7
 
-#: Shard count of the benchmark's sharded-engine rows (the ISSUE/ROADMAP
-#: configuration: 4-way hash partition, workers fitted to the cores).
-BENCH_SHARDS = 4
-
 #: Cyclic programs whose largest-scale ``wcoj_speedup`` row is gated by an
 #: **absolute** floor under ``--check`` (the mutual-recursion program rides
 #: along ungated: its rounds are dominated by small seeded frontiers, where
@@ -133,32 +118,6 @@ WCOJ_GATE_PROGRAMS = ("triangle", "clique4")
 #: The acceptance floor: forced-wcoj must beat forced-binary by at least this
 #: factor at the largest benched cyclic scale on the in-memory backend.
 WCOJ_GATE_SPEEDUP = 3.0
-
-#: The sharded engine's **never-slower** contract, enforced absolutely by
-#: ``--check`` on the acceptance rows (mas/20, largest benched scale of each
-#: SQLite section): dynamic shard collapse makes a sharded run on a small
-#: frontier execute the semi-naive driver's own statements, so the
-#: staged and fast sharded ratios must stay within 5% of the
-#: single-connection driver **even on one CPU**.  The floor is applied
-#: exactly to the *committed baseline's* acceptance rows on every ``--check``
-#: (full-run, multi-repetition numbers: a regenerated baseline below the
-#: floor is refused outright) and to the live run's rows — at face value on
-#: full runs, relaxed by :data:`SMOKE_NOISE_ALLOWANCE` on smoke runs.
-SHARDED_OVERHEAD_FLOOR = 0.95
-
-#: Smoke closure rows time ~10–20 ms workloads on shared 1-CPU CI runners,
-#: where run-to-run scheduler noise is far larger than the 5% the floor
-#: resolves (observed paired-median swing: ±10%).  A smoke run therefore
-#: gates the live ratio at ``SHARDED_OVERHEAD_FLOOR * SMOKE_NOISE_ALLOWANCE``
-#: — still far above the pre-collapse ratios (0.56–0.75) this floor exists
-#: to catch — while the exact floor is enforced on the committed baseline.
-SMOKE_NOISE_ALLOWANCE = 0.85
-
-#: The multi-core acceptance target (ROADMAP item 1): with at least two real
-#: cores the sharded fast path must clear this factor over single-connection
-#: on the file-backed acceptance row.  On smaller machines the gate is
-#: skipped with a LOUD warning — never silently.
-PARALLEL_WIN_SPEEDUP = 1.8
 
 #: Every section ``run_benchmark`` can produce, in report order.  ``--axes``
 #: selects a subset; a partial report is marked ``meta.partial`` and refused
@@ -276,32 +235,16 @@ def bench_closures(
             program = _program(workload, dataset, program_id)
             factory = _backend_factory(dataset, backend, workdir or Path("."))
             # All engines for this row are timed by one interleaved loop —
-            # the sharded/fast columns are consumed as *ratios*, and ratios
-            # taken from consecutive blocks soak up machine drift.
+            # the fast column is consumed as a *ratio*, and ratios taken from
+            # consecutive blocks soak up machine drift.
             runs = [
                 ("naive", "naive", {}),
                 ("semi", "semi-naive", {}),
             ]
-            shard_ctx = None
             if backend != "memory":
-                # Sharded engine: 4-way hash partition, workers auto-fitted
-                # to the machine (recorded per row — ratios from different
-                # core counts are not comparable).  The staged ratio is
-                # sharded vs the single-connection staged path, the fast
-                # ratio sharded-fast vs the single-connection fast path.
-                shard_ctx = EvalContext(shards=BENCH_SHARDS)
-                runs += [
+                runs.append(
                     ("fast", "semi-naive", {"collect_assignments": False}),
-                    ("sharded", "sharded", {"context": shard_ctx}),
-                    (
-                        "sharded_fast",
-                        "sharded",
-                        {
-                            "context": EvalContext(shards=BENCH_SHARDS),
-                            "collect_assignments": False,
-                        },
-                    ),
-                ]
+                )
             timed = _interleaved_closures(factory, program, repetitions, runs)
             naive_seconds, naive, naive_deltas = timed["naive"]
             semi_seconds, semi, semi_deltas = timed["semi"]
@@ -337,33 +280,6 @@ def bench_closures(
                 row["semi_naive_fast_seconds"] = round(fast_seconds, 6)
                 row["fast_speedup"] = round(
                     naive_seconds / max(fast_seconds, 1e-9), 3,
-                )
-                sharded_seconds, sharded, sharded_deltas = timed["sharded"]
-                sharded_signatures = {a.signature() for a in sharded.assignments}
-                if (
-                    sharded_signatures != naive_signatures
-                    or sharded_deltas != naive_deltas
-                    or sharded.rounds != semi.rounds
-                ):
-                    raise AssertionError(
-                        f"{backend} {workload}/{program_id}@{scale}: sharded "
-                        "engine diverged from the oracle",
-                    )
-                sharded_fast_seconds, _, sharded_fast_deltas = timed["sharded_fast"]
-                if sharded_fast_deltas != naive_deltas:
-                    raise AssertionError(
-                        f"{backend} {workload}/{program_id}@{scale}: sharded "
-                        "fast path diverged from the oracle",
-                    )
-                row["shards"] = BENCH_SHARDS
-                row["workers"] = shard_ctx.worker_count()
-                row["sharded_seconds"] = round(sharded_seconds, 6)
-                row["sharded_speedup"] = round(
-                    semi_seconds / max(sharded_seconds, 1e-9), 3,
-                )
-                row["sharded_fast_seconds"] = round(sharded_fast_seconds, 6)
-                row["sharded_fast_speedup"] = round(
-                    fast_seconds / max(sharded_fast_seconds, 1e-9), 3,
                 )
             rows.append(row)
     return rows
@@ -574,14 +490,6 @@ def bench_maintenance(scale: float, repetitions: int) -> List[dict]:
     touch a few facts per batch while the recompute redoes the whole closure,
     so the ratio is the headline number of the maintenance layer.  The final
     delta extents of both sides are asserted identical per repetition.
-
-    A third leg absorbs the same plan with sharded maintenance
-    (``EvalContext(shards=BENCH_SHARDS, shard_maintenance=True)``):
-    ``sharded_maintain_seconds`` / ``sharded_speedup`` record the serial-
-    drivers-over-sharded-drivers ratio per batch, and the deltas are asserted
-    equal to the serial leg (the byte-identical contract).  Like every
-    parallel ratio, ``sharded_speedup`` is only gated by ``--check`` when the
-    run's ``meta.cpus`` reaches the baseline's.
     """
     rows: List[dict] = []
     dataset = generate_mas(scale=scale, seed=SEED)
@@ -632,30 +540,6 @@ def bench_maintenance(scale: float, repetitions: int) -> List[dict]:
             if isinstance(db, SQLiteDatabase):
                 db.close()
 
-        # Sharded maintenance leg: the same plan absorbed with the per-batch
-        # discovery/propagation/DRed drivers fanned over the worker pool
-        # (byte-identical contract, so the deltas must match the serial leg).
-        sharded_best = float("inf")
-        sharded_deltas = None
-        sharded_ctx = None
-        for _ in range(repetitions):
-            db = fresh()
-            context = EvalContext(shards=BENCH_SHARDS, shard_maintenance=True)
-            service = RepairService(db, program, context=context)
-            start = time.perf_counter()
-            for kind, sample in plan:
-                if kind == "delete":
-                    service.apply(deletes=sample)
-                else:
-                    service.apply(inserts=sample)
-            sharded_best = min(sharded_best, time.perf_counter() - start)
-            sharded_deltas = {
-                (item.relation, item.values) for item in db.all_deltas()
-            }
-            sharded_ctx = context
-            if isinstance(db, SQLiteDatabase):
-                db.close()
-
         recompute_best = float("inf")
         recompute_deltas = None
         for _ in range(repetitions):
@@ -683,11 +567,6 @@ def bench_maintenance(scale: float, repetitions: int) -> List[dict]:
                 f"maintenance axis: maintained closure disagrees with "
                 f"from-scratch recompute on {backend}",
             )
-        if sharded_deltas != maintained_deltas:
-            raise AssertionError(
-                f"maintenance axis: sharded maintenance disagrees with the "
-                f"serial drivers on {backend}",
-            )
         batches = len(plan)
         rows.append(
             {
@@ -703,22 +582,6 @@ def bench_maintenance(scale: float, repetitions: int) -> List[dict]:
                 "per_batch_maintain_seconds": round(maintain_best / batches, 6),
                 "per_batch_recompute_seconds": round(recompute_best / batches, 6),
                 "speedup": round(recompute_best / max(maintain_best, 1e-9), 3),
-                "shards": BENCH_SHARDS,
-                "workers": sharded_ctx.worker_count(),
-                "sharded_maintain_seconds": round(sharded_best, 6),
-                "per_batch_sharded_maintain_seconds": round(
-                    sharded_best / batches, 6,
-                ),
-                # Serial drivers over sharded drivers: > 1 means the fan-out
-                # wins; cpus-gated in --check like every sharded ratio.
-                "sharded_speedup": round(
-                    maintain_best / max(sharded_best, 1e-9), 3,
-                ),
-                "maint_shard_jobs": (
-                    sharded_ctx.stats.maint_discovery_shards
-                    + sharded_ctx.stats.maint_propagate_shards
-                    + sharded_ctx.stats.maint_dred_shards
-                ),
                 "overdeleted": stats.overdeleted,
                 "rederived": stats.rederived,
             },
@@ -868,16 +731,6 @@ def assert_single_pass(scale: float = 1.0) -> dict:
       only on the first staging of each variant width: steady-state rounds
       issue zero DDL (the multi-round mas/20 cascade stages far more joins
       than it creates tables);
-    * sharded fast path (adaptive, the default) — zero assignment SELECTs,
-      zero staged inserts, zero stage DDL **and zero partitioned statements**:
-      with one worker every round's frontier collapses, so the engine runs
-      the semi-naive fast path's own direct installs
-      (``QueryStats.direct_installs``) — the never-slower contract is a
-      statement-level identity, not just a timing ratio;
-    * sharded fan-out path (``collapse_min=0`` pins the historical full
-      fan-out) — zero staged inserts and zero stage DDL: every statement is
-      a partitioned shard-install join, ``QueryStats.shard_selects``
-      counting exactly ``shards`` per variant execution.
     """
     from collections import Counter
 
@@ -885,21 +738,9 @@ def assert_single_pass(scale: float = 1.0) -> dict:
     program = mas_programs(dataset, ("20",))["20"]
     base = SQLiteDatabase.from_database(dataset.db)
     observed = {}
-    for path_name, engine, options, make_context in (
-        ("fast", "semi-naive", {"collect_assignments": False}, EvalContext),
-        ("staged", "semi-naive", {}, EvalContext),
-        (
-            "sharded-fast",
-            "sharded",
-            {"collect_assignments": False},
-            lambda: EvalContext(shards=BENCH_SHARDS, workers=1),
-        ),
-        (
-            "sharded-fanout",
-            "sharded",
-            {"collect_assignments": False},
-            lambda: EvalContext(shards=BENCH_SHARDS, workers=1, collapse_min=0),
-        ),
+    for path_name, options in (
+        ("fast", {"collect_assignments": False}),
+        ("staged", {}),
     ):
         working = base.clone()
         counts: Counter = Counter()
@@ -915,8 +756,8 @@ def assert_single_pass(scale: float = 1.0) -> dict:
                 counts["create_temp_table"] += 1
 
         working.add_statement_hook(hook)
-        context = make_context()
-        run_closure(working, program, engine=engine, context=context, **options)
+        context = EvalContext()
+        run_closure(working, program, engine="semi-naive", context=context, **options)
         if counts["assign_select"] != 0:
             raise AssertionError(
                 f"{path_name} path re-ran {counts['assign_select']} assignment "
@@ -946,52 +787,10 @@ def assert_single_pass(scale: float = 1.0) -> dict:
                 "reuse the keyed stage tables "
                 f"(creates={counts['create_temp_table']}, stages={counts['stage']})",
             )
-        if path_name == "sharded-fast":
-            if counts["stage"] != 0 or counts["create_temp_table"] != 0:
-                raise AssertionError(
-                    "sharded fast path staged rows despite no observer",
-                )
-            if context.stats.shard_selects != 0:
-                raise AssertionError(
-                    "adaptive sharded fast path ran "
-                    f"{context.stats.shard_selects} partitioned SELECTs with "
-                    "one worker — dynamic collapse must fold every round "
-                    "onto the semi-naive direct-install statements",
-                )
-            if not (context.stats.direct_installs > 0):
-                raise AssertionError(
-                    "adaptive sharded fast path recorded no direct installs "
-                    "— the collapsed rounds did not take the fast path",
-                )
-            if not (context.stats.collapsed_rounds > 0):
-                raise AssertionError(
-                    "adaptive sharded fast path recorded no collapsed "
-                    "rounds despite running with one worker",
-                )
-        if path_name == "sharded-fanout":
-            if counts["stage"] != 0 or counts["create_temp_table"] != 0:
-                raise AssertionError(
-                    "sharded fan-out path staged rows despite no observer",
-                )
-            if not (
-                context.stats.shard_selects
-                == BENCH_SHARDS * context.stats.shard_installs
-                > 0
-            ):
-                raise AssertionError(
-                    "sharded fan-out path did not run exactly one "
-                    "partitioned join per (variant, shard) "
-                    f"(selects={context.stats.shard_selects}, "
-                    f"installs={context.stats.shard_installs})",
-                )
         observed[path_name] = {
             **dict(counts),
             "joins": context.stats.joins(),
-            "shard_selects": context.stats.shard_selects,
-            "shard_installs": context.stats.shard_installs,
             "direct_installs": context.stats.direct_installs,
-            "collapsed_rounds": context.stats.collapsed_rounds,
-            "effective_shards": context.stats.effective_shards,
         }
     return observed
 
@@ -1002,47 +801,24 @@ def check_against_baseline(
     """Compare a (smoke) run's speedup ratios against the committed baseline.
 
     For every closure row present in both reports — matched on (backend,
-    workload, program, scale) — the run's naive/semi-naive ``speedup``,
-    staged/fast ``fast_speedup`` and sharded-vs-single ``sharded_speedup`` /
-    ``sharded_fast_speedup`` ratios must stay above ``tolerance`` times
+    workload, program, scale) — the run's naive/semi-naive ``speedup`` and
+    staged/fast ``fast_speedup`` ratios must stay above ``tolerance`` times
     the committed value.  The engine-vs-engine ratios are machine-independent
     (both sides of each ratio run on the same box), so a generous band
     absorbs CI noise while a real regression — e.g. losing the single-pass
-    or zero-DDL discipline — collapses the ratio far below it.  The
-    *sharded* ratios are additionally **core-count-dependent** (the worker
-    pool can only overlap shard SELECTs when cores exist), so they are gated
-    only when this run has at least the baseline's ``meta.cpus`` — a
-    smaller-than-baseline runner skips them instead of failing spuriously.
+    or zero-DDL discipline — collapses the ratio far below it.
 
     A ratio column present on only **one** side of a matched row pair — a new
     column the committed baseline predates, or a column this run stopped
     producing — is warned about **loudly** (one stderr line per row and
     column) instead of being silently skipped: a stale baseline must not
     quietly disable the gate for a new metric.  Columns absent from *both*
-    sides (e.g. sharded ratios on memory rows) stay silent by design.
+    sides (e.g. ``fast_speedup`` on memory rows) stay silent by design.
 
     ``wcoj`` rows carry one further **absolute** gate: at the largest benched
     cyclic scale of this run, the :data:`WCOJ_GATE_PROGRAMS` rows must hold
     ``wcoj_speedup >= WCOJ_GATE_SPEEDUP`` regardless of the baseline — the
     worst-case-optimal acceptance criterion, not a drift band.
-
-    The SQLite closure sections carry two more absolute gates on the
-    acceptance rows (mas/20 at the largest benched scale):
-
-    * the **never-slower floor** — ``sharded_speedup`` and
-      ``sharded_fast_speedup`` must each clear
-      :data:`SHARDED_OVERHEAD_FLOOR`, on any machine: dynamic shard
-      collapse makes the 1-CPU sharded run execute the single-connection
-      driver's own statements, so overhead beyond 5% is a regression, not
-      a core-count artefact.  The exact floor applies to the committed
-      baseline's acceptance rows (full-run numbers) on every ``--check``;
-      the live run's rows are gated with :data:`SMOKE_NOISE_ALLOWANCE`
-      relaxation under ``--smoke``, where ~15 ms workloads cannot resolve
-      5% on a shared runner;
-    * the **parallel win** — with ``meta.cpus >= 2`` the file-backed
-      acceptance row must hold ``sharded_fast_speedup >=``
-      :data:`PARALLEL_WIN_SPEEDUP`; on a 1-CPU runner this gate is
-      skipped with a LOUD stderr warning, never silently.
 
     A report marked ``meta.partial`` (produced with ``--axes``) is refused
     outright: the committed baseline is a full run, and gating a subset
@@ -1063,9 +839,6 @@ def check_against_baseline(
             "committed baseline; re-run without --axes",
         ]
     compared = 0
-    run_cpus = meta.get("cpus") or 1
-    baseline_cpus = baseline.get("meta", {}).get("cpus") or 1
-    gate_sharded = run_cpus >= baseline_cpus
 
     def by_key(rows: List[dict]) -> Dict[tuple, dict]:
         return {
@@ -1074,26 +847,11 @@ def check_against_baseline(
         }
 
     section_ratios = {
-        "closure": (
-            "speedup",
-            "fast_speedup",
-            "sharded_speedup",
-            "sharded_fast_speedup",
-        ),
-        "sqlite_closure": (
-            "speedup",
-            "fast_speedup",
-            "sharded_speedup",
-            "sharded_fast_speedup",
-        ),
-        "sqlite_file_closure": (
-            "speedup",
-            "fast_speedup",
-            "sharded_speedup",
-            "sharded_fast_speedup",
-        ),
+        "closure": ("speedup", "fast_speedup"),
+        "sqlite_closure": ("speedup", "fast_speedup"),
+        "sqlite_file_closure": ("speedup", "fast_speedup"),
         "wcoj": ("wcoj_speedup",),
-        "maintenance": ("speedup", "sharded_speedup"),
+        "maintenance": ("speedup",),
         "counting": ("speedup",),
     }
     for section, ratios in section_ratios.items():
@@ -1116,19 +874,6 @@ def check_against_baseline(
                             "(or restore the column) to re-arm it",
                             file=sys.stderr,
                         )
-                    continue
-                if ratio.startswith("sharded") and not gate_sharded:
-                    # Downgraded, not silent: a smaller-than-baseline runner
-                    # cannot reproduce a parallel ratio, but the reader must
-                    # see the gate was disarmed rather than passed.
-                    print(
-                        f"bench --check warning: {section} {key}: {ratio} NOT "
-                        f"gated — this run has {run_cpus} cpu(s) vs the "
-                        f"baseline's {baseline_cpus}; parallel ratios are "
-                        "only enforced on runners with at least the "
-                        "baseline's cores",
-                        file=sys.stderr,
-                    )
                     continue
                 compared += 1
                 floor = base[ratio] * tolerance
@@ -1162,77 +907,6 @@ def check_against_baseline(
                     f"wcoj_speedup {speedup:.3f} < "
                     f"{WCOJ_GATE_SPEEDUP} (absolute worst-case-optimal floor)",
                 )
-    smoke_run = bool(meta.get("smoke"))
-    run_floor = SHARDED_OVERHEAD_FLOOR * (
-        SMOKE_NOISE_ALLOWANCE if smoke_run else 1.0
-    )
-    for section in ("sqlite_closure", "sqlite_file_closure"):
-        sources = (
-            # The committed baseline's full-run ratios are gated at the exact
-            # floor on EVERY --check (smoke included): regenerating
-            # BENCH_fixpoint.json with a below-floor acceptance row is itself
-            # the regression the never-slower contract exists to refuse.
-            ("committed baseline", baseline, SHARDED_OVERHEAD_FLOOR),
-            ("this run", report, run_floor),
-        )
-        for origin, source, floor in sources:
-            rows = [
-                row
-                for row in source.get(section, [])
-                if row["workload"] == "mas" and row["program"] == "20"
-            ]
-            if not rows:
-                continue
-            acceptance = max(rows, key=lambda row: row["scale"])
-            label = f"{section} mas/20@{acceptance['scale']} ({origin})"
-            for ratio in ("sharded_speedup", "sharded_fast_speedup"):
-                compared += 1
-                value = acceptance.get(ratio)
-                if value is None:
-                    problems.append(
-                        f"{label}: {ratio} column missing — the absolute "
-                        "never-slower floor cannot be verified",
-                    )
-                elif value < floor:
-                    allowance = (
-                        " (smoke noise allowance applied)"
-                        if floor != SHARDED_OVERHEAD_FLOOR
-                        else ""
-                    )
-                    problems.append(
-                        f"{label}: {ratio} {value:.3f} < {floor:.3f} "
-                        "(absolute never-slower floor — dynamic shard "
-                        "collapse must keep the sharded engine within 5% "
-                        f"of single-connection even on 1 CPU){allowance}",
-                    )
-        rows = [
-            row
-            for row in report.get(section, [])
-            if row["workload"] == "mas" and row["program"] == "20"
-        ]
-        acceptance = max(rows, key=lambda row: row["scale"]) if rows else None
-        label = (
-            f"{section} mas/20@{acceptance['scale']}" if acceptance else section
-        )
-        if section == "sqlite_file_closure" and acceptance is not None:
-            if run_cpus >= 2:
-                compared += 1
-                value = acceptance.get("sharded_fast_speedup")
-                if value is not None and value < PARALLEL_WIN_SPEEDUP:
-                    problems.append(
-                        f"{label}: sharded_fast_speedup {value:.3f} < "
-                        f"{PARALLEL_WIN_SPEEDUP} (absolute multi-core "
-                        f"target with {run_cpus} cpus — ROADMAP item 1)",
-                    )
-            else:
-                print(
-                    "bench --check warning: PARALLEL WIN NOT VERIFIED — "
-                    f"{label}: the >= {PARALLEL_WIN_SPEEDUP}x multi-core "
-                    f"target needs >= 2 cpus and this run has {run_cpus}; "
-                    "the never-slower floor was still enforced, but the "
-                    "speedup itself must be proven on a multi-core runner",
-                    file=sys.stderr,
-                )
     if compared == 0:
         problems.append(
             "no rows of this run matched the committed baseline — the gate "
@@ -1260,11 +934,10 @@ def run_benchmark(smoke: bool = False, axes=None) -> dict:
     # first, cold run the measurement, and cold-cache noise on the file-backed
     # axis is larger than the --check tolerance band.
     repetitions = 2 if smoke else 3
-    # The closure axes feed the absolute never-slower floor, which leaves no
-    # headroom for the heavy-tailed timing noise of a shared container —
-    # repeated measurements on an idle 1-CPU box still swing ±20% on ~60 ms
-    # closures.  Full (baseline-producing) runs therefore take extra
-    # interleaved repetitions on those axes so the per-engine best settles.
+    # Repeated measurements on an idle shared box still swing ±20% on
+    # ~60 ms closures.  Full (baseline-producing) runs therefore take extra
+    # interleaved repetitions on the closure axes so the per-engine best
+    # settles.
     closure_repetitions = repetitions if smoke else repetitions + 2
     if smoke:
         scales = {"mas": [1.0], "tpch": [1.0]}
@@ -1290,9 +963,6 @@ def run_benchmark(smoke: bool = False, axes=None) -> dict:
             "repetitions": repetitions,
             "python": platform.python_version(),
             "machine": platform.machine(),
-            # Sharded ratios are only comparable between machines with the
-            # same core budget: on one CPU the worker pool cannot overlap
-            # the per-shard SELECTs.
             "cpus": os.cpu_count(),
             # --axes marks the report partial; --check refuses such reports
             # (the committed baseline is always a full run).
@@ -1378,9 +1048,6 @@ def _summarise(report: dict) -> dict:
                 / max(sqlite_largest["semi_naive_fast_seconds"], 1e-9),
                 3,
             ),
-            sqlite_largest_program_sharded_speedup=sqlite_largest[
-                "sharded_speedup"
-            ],
         )
     file_rows = report.get("sqlite_file_closure")
     if file_rows:
@@ -1390,17 +1057,6 @@ def _summarise(report: dict) -> dict:
             sqlite_file_largest_program_speedup=file_largest["speedup"],
             sqlite_file_largest_program_fast_speedup=file_largest[
                 "fast_speedup"
-            ],
-            # Sharded vs single-connection on the acceptance workload
-            # (deep-cascade mas/20 at the deepest file-backed scale), with
-            # the worker count that actually ran — the parallel win only
-            # materialises when `meta.cpus` provides the cores.
-            sharded_workers=file_largest["workers"],
-            sqlite_file_largest_program_sharded_speedup=file_largest[
-                "sharded_speedup"
-            ],
-            sqlite_file_largest_program_sharded_fast_speedup=file_largest[
-                "sharded_fast_speedup"
             ],
         )
     end_rows = report.get("end_to_end")
@@ -1490,30 +1146,13 @@ def _render(report: dict) -> str:
                 if "semi_naive_fast_seconds" in row
                 else ""
             )
-            sharded = (
-                f" sharded={row['sharded_seconds']:.4f}s"
-                f" ({row['sharded_speedup']:.2f}x/"
-                f"{row['sharded_fast_speedup']:.2f}x @w{row['workers']})"
-                if "sharded_seconds" in row
-                else ""
-            )
             lines.append(
                 f"  {row['workload']:>4}/{row['program']:<4} "
                 f"scale={row['scale']:<4} tuples={row['tuples']:<6} "
                 f"naive={row['naive_seconds']:.4f}s "
                 f"semi={row['semi_naive_seconds']:.4f}s "
-                f"speedup={row['speedup']:.2f}x{fast}{sharded}",
+                f"speedup={row['speedup']:.2f}x{fast}",
             )
-    if any(
-        key in report
-        for key in ("closure", "sqlite_closure", "sqlite_file_closure")
-    ):
-        lines.append(
-            f"  note: sharded columns ran with {report['meta']['cpus']} "
-            "cpu(s); on a 1-CPU runner dynamic shard collapse keeps the "
-            "sharded engine within the never-slower floor, but the parallel "
-            "win itself needs real cores.",
-        )
     if "wcoj" in report:
         lines.append(
             "wcoj (binary vs worst-case-optimal plans, in-memory backend):",
@@ -1558,9 +1197,6 @@ def _render(report: dict) -> str:
             f"maintain={row['per_batch_maintain_seconds']:.4f}s/batch "
             f"recompute={row['per_batch_recompute_seconds']:.4f}s/batch "
             f"speedup={row['speedup']:.2f}x "
-            f"sharded={row['per_batch_sharded_maintain_seconds']:.4f}s/batch "
-            f"({row['sharded_speedup']:.2f}x @s{row['shards']}w{row['workers']}, "
-            f"{row['maint_shard_jobs']} jobs) "
             f"(overdeleted={row['overdeleted']}, rederived={row['rederived']})",
         )
     if "counting" in report:
@@ -1595,10 +1231,7 @@ def _render(report: dict) -> str:
         f"(fast {summary['sqlite_largest_program_fast_speedup']:.2f}x, "
         f"vs PR2 semi: staged {summary['sqlite_staged_vs_pr2_semi']:.2f}x / "
         f"fast {summary['sqlite_fast_vs_pr2_semi']:.2f}x), file-backed "
-        f"{summary['sqlite_file_largest_program_speedup']:.2f}x, sharded "
-        f"vs single {summary['sqlite_file_largest_program_sharded_speedup']:.2f}x"
-        f"/{summary['sqlite_file_largest_program_sharded_fast_speedup']:.2f}x "
-        f"(w{summary['sharded_workers']}, {report['meta']['cpus']} cpus), "
+        f"{summary['sqlite_file_largest_program_speedup']:.2f}x, "
         f"end-semantics geomean {summary['end_semantics_geomean_speedup']:.2f}x, "
         f"wcoj min gated {summary['wcoj_min_gated_speedup']:.2f}x@"
         f"{summary['wcoj_largest_scale']}",
@@ -1620,18 +1253,6 @@ def test_fixpoint_smoke():
     assert report["summary"]["sqlite_max_closure_speedup"] > 1.0
     assert report["single_pass"]["fast"].get("assign_select", 0) == 0
     assert report["single_pass"]["staged"].get("assign_select", 0) == 0
-    sharded_fast = report["single_pass"]["sharded-fast"]
-    assert sharded_fast.get("assign_select", 0) == 0
-    assert sharded_fast.get("stage", 0) == 0
-    # Dynamic collapse: with one worker the sharded fast path degenerates to
-    # the semi-naive direct installs — no partitioned statements at all.
-    assert sharded_fast["shard_selects"] == 0
-    assert sharded_fast["direct_installs"] > 0
-    assert sharded_fast["collapsed_rounds"] > 0
-    # collapse_min=0 pins the historical full fan-out: exactly one
-    # partitioned SELECT per (variant, shard).
-    fanout = report["single_pass"]["sharded-fanout"]
-    assert fanout["shard_selects"] == BENCH_SHARDS * fanout["shard_installs"] > 0
     # The wcoj path actually ran (counters flowed through QueryStats) and the
     # generic join won at the benched cyclic scale; the hard >= 3.0 gate is
     # applied by --check on the committed full-run baseline.

@@ -53,13 +53,11 @@ class RepairEngine:
         before being returned (slower; useful in tests and demos).
     engine:
         Default evaluation engine for every repair computed by this object:
-        ``"auto"`` (semi-naive on every backend — delta-driven planned joins
-        in memory, frontier-table SQL variants on SQLite — or the sharded
-        engine when the shared context sets ``shards=``/``workers=``),
-        ``"semi-naive"``, ``"sharded"`` (hash-partitioned frontiers fanned
-        out across a worker pool, see :mod:`repro.datalog.sharded`), or
-        ``"naive"`` (the differential-testing oracle).  Unknown names raise
-        :class:`~repro.exceptions.UnknownEngineError` (a :class:`ValueError`).
+        ``"auto"`` (semi-naive on every backend and CPU count — delta-driven
+        planned joins in memory, frontier-table SQL variants on SQLite),
+        ``"semi-naive"``, or ``"naive"`` (the differential-testing oracle).
+        Unknown names raise :class:`~repro.exceptions.UnknownEngineError`
+        (a :class:`ValueError`).
         A per-call ``engine=`` option to :meth:`repair` overrides it.
     context:
         Optional :class:`~repro.datalog.context.EvalContext`.  Every repair

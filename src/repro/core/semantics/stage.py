@@ -71,11 +71,7 @@ def stage_semantics(
     timer = timer if timer is not None else PhaseTimer()
     rules = list(program)
     working = db.clone()
-    # Sharding applies to closure drivers, not the incremental discovery
-    # loop, so every non-naive resolution (semi-naive or sharded) takes the
-    # same incremental path; resolving with the context keeps the reported
-    # metadata honest when ``auto`` opted into sharding.
-    resolved = resolve_engine(working, engine, context)
+    resolved = resolve_engine(working, engine)
     deleted: set = set()
     with timer.phase(PHASE_EVAL):
         if resolved == ENGINE_NAIVE:

@@ -41,7 +41,6 @@ from repro.datalog.evaluation import (
     ENGINE_AUTO,
     ENGINE_NAIVE,
     ENGINE_SEMI_NAIVE,
-    ENGINE_SHARDED,
     derive_closure,
     find_assignments,
     resolve_engine,
@@ -77,5 +76,4 @@ __all__ = [
     "ENGINE_AUTO",
     "ENGINE_NAIVE",
     "ENGINE_SEMI_NAIVE",
-    "ENGINE_SHARDED",
 ]

@@ -26,15 +26,10 @@ of shared state:
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Tuple
 
-from repro.datalog.planner import (
-    COLLAPSE_MIN_FRONTIER,
-    DRIFT_FACTOR,
-    effective_shard_count,
-)
+from repro.datalog.planner import DRIFT_FACTOR
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.datalog.ast import Rule
@@ -43,73 +38,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.datalog.sql_compiler import FrontierQuery
     from repro.storage.database import BaseDatabase
     from repro.storage.facts import Fact
-
-#: Environment variable overriding the default shard count of the sharded
-#: engine (read dynamically so a CI job can flip a whole test run at once).
-SHARDS_ENV = "REPRO_SHARDS"
-
-#: Default shard count of ``engine="sharded"`` when neither the context nor
-#: the environment picks one: enough shards to exercise the partitioned path
-#: even on small machines, one worker per core up to the shard count.
-DEFAULT_SHARDS = 4
-
-
-def env_shards() -> int | None:
-    """The :data:`SHARDS_ENV` override, or None when unset/invalid."""
-    raw = os.environ.get(SHARDS_ENV)
-    if not raw:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        return None
-    return value if value > 0 else None
-
-
-#: Environment variable opting the incremental maintenance drivers into the
-#: sharded execution paths (insert discovery, frontier propagation and the
-#: DRed scans fan out over the worker pool).  Separate from :data:`SHARDS_ENV`
-#: on purpose: ``REPRO_SHARDS`` alone reroutes the *closure loads* through the
-#: sharded engine while the per-batch maintenance stays serial, so CI can
-#: exercise either axis independently.
-MAINTENANCE_ENV = "REPRO_SHARD_MAINTENANCE"
-
-
-def env_shard_maintenance() -> bool:
-    """True when :data:`MAINTENANCE_ENV` enables sharded maintenance."""
-    raw = os.environ.get(MAINTENANCE_ENV, "").strip().lower()
-    return raw not in ("", "0", "false", "no", "off")
-
-
-#: Environment variable opting the in-memory sharded closure into the
-#: multiprocessing worker pool (:mod:`repro.datalog.process_pool`) instead of
-#: the GIL-bound thread pool.  Same dynamic-read contract as the other knobs.
-PROCESS_POOL_ENV = "REPRO_PROCESS_POOL"
-
-
-def env_process_pool() -> bool:
-    """True when :data:`PROCESS_POOL_ENV` enables the process pool."""
-    raw = os.environ.get(PROCESS_POOL_ENV, "").strip().lower()
-    return raw not in ("", "0", "false", "no", "off")
-
-
-#: Environment variable overriding the shard-collapse threshold
-#: (:data:`~repro.datalog.planner.COLLAPSE_MIN_FRONTIER`); ``0`` disables
-#: collapse entirely (every variant fans out to the full shard count).
-COLLAPSE_ENV = "REPRO_COLLAPSE_MIN"
-
-
-def env_collapse_min() -> int | None:
-    """The :data:`COLLAPSE_ENV` override, or None when unset/invalid."""
-    raw = os.environ.get(COLLAPSE_ENV)
-    if raw is None or not raw.strip():
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        return None
-    return value if value >= 0 else None
-
 
 #: Signature of an assignment observer.
 AssignmentObserver = Callable[["Assignment"], None]
@@ -161,29 +89,11 @@ class QueryStats:
         :data:`~repro.datalog.planner.DRIFT_FACTOR` until consecutive no-op
         replans widen it.
     shard_selects:
-        Per-shard join SELECTs executed by the sharded SQLite driver — one
-        hash-partition of one variant's body join each; a round evaluates
-        every variant exactly once *in total* across its shards.
-    shard_installs:
-        Merged head-fact install batches (``INSERT OR IGNORE`` executemany
-        over the rows the shard SELECTs returned) — one per variant
-        execution per round, always on the primary connection.
+        Always zero.  Kept (with :attr:`effective_shards`) because external
+        benchmark readers still read both counters by name; no engine shards
+        its rounds any more.
     effective_shards:
-        Sum over variant executions of the shard count each one actually
-        fanned out to after dynamic collapse
-        (:func:`~repro.datalog.planner.effective_shard_count`) — with
-        collapse disabled this equals ``shards ×`` the number of variant
-        executions; on a single worker it equals the execution count (every
-        variant collapsed to one inline evaluation).
-    collapsed_rounds:
-        Rounds of a sharded closure in which *every* evaluated variant
-        collapsed to a single inline evaluation — the whole round ran without
-        a pool submit or a reader connection.
-    pipelined_waves:
-        Variant shard-waves whose per-shard SELECTs were submitted to the
-        worker pool *before* the previous variant's merge/install finished —
-        the producer/consumer overlap of the pipelined SQLite driver.  Zero
-        when everything collapses (nothing to overlap).
+        Always zero, like :attr:`shard_selects`.
     replay_batches:
         Bounded chunks in which staged rows were replayed to observers
         (:data:`~repro.datalog.sql_seminaive.STAGE_REPLAY_CHUNK` rows per
@@ -230,19 +140,6 @@ class QueryStats:
         Deletion batches where support counts alone could not prove every
         affected fact alive, so the exact DRed passes ran (with counting-based
         pruning of provably alive facts when enabled).
-    maint_discovery_shards:
-        Per-shard insert-discovery jobs the sharded maintenance path ran —
-        one hash partition of one (rule, eligible position)'s seed facts
-        each.  Zero while maintenance runs serial
-        (:meth:`EvalContext.wants_shard_maintenance` off).
-    maint_propagate_shards:
-        Per-shard frontier-propagation jobs of the sharded maintenance path:
-        one hash partition of one (rule, rank)'s frontier in memory, one
-        ``rowid % :nshards`` window of one seeded variant on SQLite.
-    maint_dred_shards:
-        Per-shard DRed scan jobs (over-delete BFS levels and re-derive
-        sweeps) the sharded maintenance path ran; the counting fast path
-        never shards (it decides batches from support counts alone).
     """
 
     staged_selects: int = 0
@@ -255,10 +152,7 @@ class QueryStats:
     drift_factor: float = DRIFT_FACTOR
     variant_compiles: int = 0
     shard_selects: int = 0
-    shard_installs: int = 0
     effective_shards: int = 0
-    collapsed_rounds: int = 0
-    pipelined_waves: int = 0
     replay_batches: int = 0
     wcoj_rules: int = 0
     wcoj_intersections: int = 0
@@ -268,23 +162,10 @@ class QueryStats:
     rederived: int = 0
     counted_deletes: int = 0
     dred_fallbacks: int = 0
-    maint_discovery_shards: int = 0
-    maint_propagate_shards: int = 0
-    maint_dred_shards: int = 0
 
     def joins(self) -> int:
-        """Total statements that join the base/frontier tables.
-
-        Every shard SELECT covers one hash-partition of a variant's join, so
-        the sharded counter is included: across the shards of one round each
-        variant's join is still evaluated exactly once in total.
-        """
-        return (
-            self.staged_selects
-            + self.direct_installs
-            + self.assignment_selects
-            + self.shard_selects
-        )
+        """Total statements that join the base/frontier tables."""
+        return self.staged_selects + self.direct_installs + self.assignment_selects
 
     def reset(self) -> None:
         """Zero every counter (the benchmark reuses one context per run)."""
@@ -298,10 +179,7 @@ class QueryStats:
         self.drift_factor = DRIFT_FACTOR
         self.variant_compiles = 0
         self.shard_selects = 0
-        self.shard_installs = 0
         self.effective_shards = 0
-        self.collapsed_rounds = 0
-        self.pipelined_waves = 0
         self.replay_batches = 0
         self.wcoj_rules = 0
         self.wcoj_intersections = 0
@@ -311,9 +189,6 @@ class QueryStats:
         self.rederived = 0
         self.counted_deletes = 0
         self.dred_fallbacks = 0
-        self.maint_discovery_shards = 0
-        self.maint_propagate_shards = 0
-        self.maint_dred_shards = 0
 
 
 @dataclass
@@ -325,153 +200,15 @@ class EvalContext:
     only ever reuses *structural* artefacts (join orders keyed on rule shape,
     compiled SQL keyed on the rule), so one context may span databases with
     different contents — e.g. the per-semantics clones of a ``compare()`` run.
-
-    ``shards`` / ``workers`` configure the sharded engine
-    (:mod:`repro.datalog.sharded`): ``shards`` is the number of hash
-    partitions each round's frontier is split into, ``workers`` the number of
-    worker threads the per-shard enumeration fans out across.  Either may be
-    left None: ``shards`` then falls back to the :data:`SHARDS_ENV`
-    environment override, the ``workers`` value, or :data:`DEFAULT_SHARDS`;
-    ``workers`` defaults to one per CPU core, capped at the shard count.
-    Setting either knob (or the environment variable) also makes
-    ``engine="auto"`` resolve to the sharded engine — the opt-in heuristic of
-    :func:`repro.datalog.evaluation.resolve_engine`.
-
-    ``collapse_min`` tunes dynamic shard collapse: a variant whose observed
-    frontier/extent is smaller than this many rows (default
-    :data:`~repro.datalog.planner.COLLAPSE_MIN_FRONTIER`, env override
-    :data:`COLLAPSE_ENV`) runs as a single inline evaluation instead of
-    fanning out; ``0`` disables collapse (full fan-out regardless of size).
-    ``process_pool`` opts the in-memory sharded closure into a
-    ``multiprocessing`` worker pool (:mod:`repro.datalog.process_pool`) —
-    real parallelism past the GIL, at the cost of pickling per-round frontier
-    batches to the workers.  None defers to :data:`PROCESS_POOL_ENV`.
-
-    ``shard_maintenance`` opts the *incremental maintenance drivers*
-    (:mod:`repro.datalog.incremental`) into the same hash-partitioned
-    worker-pool execution: insert discovery, frontier propagation and the
-    DRed scans fan their per-batch work across ``shards`` partitions and
-    ``workers`` threads.  None defers to the :data:`MAINTENANCE_ENV`
-    environment override; an explicit False pins maintenance serial even
-    under the environment knob.  Either way the maintained state is
-    byte-identical — same closure, same assignment record order, same
-    observer stream, same persisted store — at any shard/worker count.
     """
 
     stats: QueryStats = field(default_factory=QueryStats)
-    shards: int | None = None
-    workers: int | None = None
-    shard_maintenance: bool | None = None
-    process_pool: bool | None = None
-    collapse_min: int | None = None
     _plans: Dict = field(default_factory=dict, repr=False)
     _variants: Dict = field(default_factory=dict, repr=False)
     _observers: List[AssignmentObserver] = field(default_factory=list, repr=False)
     _candidate_observers: List[CandidateObserver] = field(
         default_factory=list, repr=False,
     )
-
-    # -- sharding ---------------------------------------------------------------
-
-    def shard_count(self) -> int:
-        """The number of hash partitions the sharded engine splits rounds into.
-
-        Resolution order: the explicit :attr:`shards` knob, the
-        :data:`SHARDS_ENV` environment override, the :attr:`workers` knob
-        (one shard per worker), then :data:`DEFAULT_SHARDS`.
-        """
-        if self.shards is not None:
-            return max(1, int(self.shards))
-        from_env = env_shards()
-        if from_env is not None:
-            return from_env
-        if self.workers is not None:
-            return max(1, int(self.workers))
-        return DEFAULT_SHARDS
-
-    def worker_count(self) -> int:
-        """The number of worker threads the sharded engine fans out across.
-
-        Defaults to one per CPU core, never more than the shard count (extra
-        workers would idle) and never less than one.
-        """
-        if self.workers is not None:
-            return max(1, min(int(self.workers), self.shard_count()))
-        return max(1, min(os.cpu_count() or 1, self.shard_count()))
-
-    def wants_sharding(self) -> bool:
-        """True when ``engine="auto"`` should resolve to the sharded engine.
-
-        An explicit :attr:`shards` / :attr:`workers` knob or the
-        :data:`SHARDS_ENV` environment variable always opts in.  With every
-        knob unset, auto consults ``os.cpu_count()``: multi-core machines get
-        the sharded engine by default (dynamic shard collapse makes it
-        never slower than semi-naive even on small frontiers), while a
-        single-core machine stays on semi-naive — there the fan-out is pure
-        bookkeeping with no concurrency to buy back.
-        """
-        if (
-            self.shards is not None
-            or self.workers is not None
-            or env_shards() is not None
-        ):
-            return True
-        return (os.cpu_count() or 1) > 1
-
-    # -- dynamic shard collapse -------------------------------------------------
-
-    def collapse_threshold(self) -> int:
-        """The frontier size below which a variant collapses to one shard.
-
-        Resolution order: the explicit :attr:`collapse_min` knob, the
-        :data:`COLLAPSE_ENV` environment override, then
-        :data:`~repro.datalog.planner.COLLAPSE_MIN_FRONTIER`.  Zero disables
-        collapse (full fan-out).
-        """
-        if self.collapse_min is not None:
-            return max(0, int(self.collapse_min))
-        from_env = env_collapse_min()
-        if from_env is not None:
-            return from_env
-        return COLLAPSE_MIN_FRONTIER
-
-    def effective_shards_for(self, size: int) -> int:
-        """Shard count one variant over ``size`` rows should fan out to.
-
-        Applies :func:`~repro.datalog.planner.effective_shard_count` to this
-        context's resolved shard/worker counts and collapse threshold, and
-        records the decision in :attr:`QueryStats.effective_shards`.
-        """
-        effective = effective_shard_count(
-            size,
-            self.shard_count(),
-            self.worker_count(),
-            self.collapse_threshold(),
-        )
-        self.stats.effective_shards += effective
-        return effective
-
-    def wants_process_pool(self) -> bool:
-        """True when the in-memory sharded closure should use process workers.
-
-        The explicit :attr:`process_pool` knob wins in both directions; when
-        left None the :data:`PROCESS_POOL_ENV` environment variable decides.
-        """
-        if self.process_pool is not None:
-            return bool(self.process_pool)
-        return env_process_pool()
-
-    def wants_shard_maintenance(self) -> bool:
-        """True when the maintenance drivers should run their sharded paths.
-
-        The explicit :attr:`shard_maintenance` knob wins in both directions;
-        when left None the :data:`MAINTENANCE_ENV` environment variable
-        decides (read dynamically, like :data:`SHARDS_ENV`, so a CI job can
-        flip a whole test run at once).
-        """
-        if self.shard_maintenance is not None:
-            return bool(self.shard_maintenance)
-        return env_shard_maintenance()
 
     # -- planning ---------------------------------------------------------------
 
@@ -522,7 +259,7 @@ class EvalContext:
         return cached
 
     def query_context(self) -> "EvalContext":
-        """A derived context sharing stats, knobs and caches — but no observers.
+        """A derived context sharing stats and caches — but no observers.
 
         The incremental-maintenance layer (:mod:`repro.datalog.incremental`)
         runs internal discovery queries that must benefit from this context's
@@ -532,14 +269,7 @@ class EvalContext:
         itself, so handing it the primary context would deliver assignments
         twice.
         """
-        derived = EvalContext(
-            stats=self.stats,
-            shards=self.shards,
-            workers=self.workers,
-            shard_maintenance=self.shard_maintenance,
-            process_pool=self.process_pool,
-            collapse_min=self.collapse_min,
-        )
+        derived = EvalContext(stats=self.stats)
         derived._plans = self._plans
         derived._variants = self._variants
         return derived

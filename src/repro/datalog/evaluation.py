@@ -18,7 +18,6 @@ The evaluator works over any :class:`~repro.storage.database.BaseDatabase`:
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Sequence
 
@@ -32,8 +31,7 @@ from repro.storage.sqlite_backend import SQLiteDatabase
 ENGINE_AUTO = "auto"
 ENGINE_NAIVE = "naive"
 ENGINE_SEMI_NAIVE = "semi-naive"
-ENGINE_SHARDED = "sharded"
-ENGINES = (ENGINE_NAIVE, ENGINE_SEMI_NAIVE, ENGINE_SHARDED)
+ENGINES = (ENGINE_NAIVE, ENGINE_SEMI_NAIVE)
 ENGINE_CHOICES = (ENGINE_AUTO, *ENGINES)
 
 
@@ -50,38 +48,18 @@ def validate_engine(engine: str | None) -> None:
         raise UnknownEngineError(engine, ENGINE_CHOICES)
 
 
-def resolve_engine(
-    db: BaseDatabase, engine: str | None, context=None,
-) -> str:
+def resolve_engine(db: BaseDatabase, engine: str | None) -> str:
     """Resolve the ``engine=`` knob to a concrete engine name.
 
     ``"auto"`` (the default everywhere) selects the semi-naive engine on every
-    backend: the delta-driven in-memory engine for :class:`Database` instances
-    and the SQL-level frontier-table engine
-    (:mod:`repro.datalog.sql_seminaive`) for SQLite-backed ones — unless
-    sharding is wanted, in which case it resolves to the sharded engine
-    (:mod:`repro.datalog.sharded`).  The heuristic is
-    :meth:`~repro.datalog.context.EvalContext.wants_sharding`: an explicit
-    ``shards=`` / ``workers=`` knob on the ``context`` or the
-    ``REPRO_SHARDS`` environment variable always opts in (checked even
-    without a context, so a CI job can flip a whole run); with every knob
-    unset, ``os.cpu_count()`` decides — multi-core machines default to the
-    sharded engine (dynamic shard collapse makes it never slower than
-    semi-naive), single-core machines stay on semi-naive.  ``"naive"``
-    forces the re-evaluate-everything loop, the differential-testing oracle.
+    backend and on any CPU count: the delta-driven in-memory engine for
+    :class:`Database` instances and the SQL-level frontier-table engine
+    (:mod:`repro.datalog.sql_seminaive`) for SQLite-backed ones.
+    ``"naive"`` forces the re-evaluate-everything loop, the
+    differential-testing oracle.
     """
     validate_engine(engine)
     if engine is None or engine == ENGINE_AUTO:
-        if context is not None:
-            return (
-                ENGINE_SHARDED
-                if context.wants_sharding()
-                else ENGINE_SEMI_NAIVE
-            )
-        from repro.datalog.context import env_shards
-
-        if env_shards() is not None or (os.cpu_count() or 1) > 1:
-            return ENGINE_SHARDED
         return ENGINE_SEMI_NAIVE
     return engine
 
@@ -482,28 +460,11 @@ def run_closure(
       databases run delta-rewritten SQL variants against generation-stamped
       frontier tables, with fact installation kept inside SQLite
       (:mod:`repro.datalog.sql_seminaive`);
-    * ``"sharded"`` — the same semi-naive rounds with every round's frontier
-      hash-partitioned across a worker pool (:mod:`repro.datalog.sharded`);
-      shard and worker counts come from the context's ``shards=`` /
-      ``workers=`` knobs (or ``REPRO_SHARDS``).  ``"auto"`` resolves here
-      when the context opts in via those knobs;
     * ``"naive"`` — every round re-evaluates every rule against the whole
       database and discards already-seen assignments by signature.  Kept as
       the differential-testing oracle.
     """
-    resolved = resolve_engine(db, engine, context)
-    if resolved == ENGINE_SHARDED:
-        from repro.datalog.sharded import sharded_closure
-
-        return sharded_closure(
-            db,
-            program,
-            on_assignment=on_assignment,
-            max_rounds=max_rounds,
-            collect_assignments=collect_assignments,
-            context=context,
-        )
-    if resolved == ENGINE_SEMI_NAIVE:
+    if resolve_engine(db, engine) == ENGINE_SEMI_NAIVE:
         if isinstance(db, SQLiteDatabase):
             from repro.datalog.sql_seminaive import sql_semi_naive_closure
 

@@ -31,37 +31,16 @@ fixpoint on the updated base instance; the differential suite
 (``tests/test_incremental.py``) checks closures, tids, assignment signatures
 and repair outcomes against exactly that oracle on both backends.
 
-Sharded maintenance
--------------------
+Deterministic record order
+--------------------------
 
-When the evaluation context opts in
-(:meth:`~repro.datalog.context.EvalContext.wants_shard_maintenance` — the
-``shard_maintenance`` knob or the ``REPRO_SHARD_MAINTENANCE`` environment
-variable), all three per-batch drivers hash-partition their work over the
-same reference-counted worker-pool leases the sharded closure engine uses
-(:mod:`repro.datalog.sharded`):
-
-* insert discovery fans each (rule, eligible position)'s seed facts across
-  :func:`~repro.datalog.sharded.fact_shard` partitions — on file-backed
-  SQLite the per-shard joins probe read-only reader-connection views
-  (:meth:`~repro.storage.sqlite_backend.SQLiteDatabase.reader_views`), in
-  memory they read the shared indexes directly;
-* frontier propagation reuses the sharded round machinery: in-memory frontier
-  token partitions per (rule, rank), SQLite ``rowid % :nshards`` windows of
-  the compiled seeded variants on reader connections, with every install
-  (``mark_deleted``) serialised on the primary connection;
-* the DRed over-delete BFS runs level-synchronously and the re-derive
-  fixpoint sweep-synchronously, each wave scanning one fact partition of the
-  (frozen, read-only) assignment store per job; the counting fast path never
-  shards.
-
-Workers only ever read; every mutation happens on the merge thread.  Both
-the serial and the sharded drivers sort each (rule, round) batch into the
-canonical :func:`~repro.datalog.sharded.assignment_replay_order` before
-recording, so the record stream — and with it the observer stream, the
-assignment-store aid order, the persisted ``_repro_assign*`` rows and the
-SQLite generation stamps — is byte-identical at any shard/worker count,
-including the serial drivers.  The differential suites assert exactly that.
+Every driver sorts each (rule, round) batch into
+:func:`assignment_replay_order` before recording it, and DRed retracts in
+:meth:`~repro.storage.facts.Fact.sort_key` order.  Joins over hash-based
+indexes enumerate in an order salted by ``PYTHONHASHSEED``; the sort makes
+the record stream — and with it the observer stream, the assignment-store
+aid order, the persisted ``_repro_assign*`` rows and the SQLite generation
+stamps — the same in every process.
 """
 
 from __future__ import annotations
@@ -69,7 +48,7 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import deque
-from typing import Callable, Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Set, Tuple
 
 from repro.datalog.ast import Rule
 from repro.datalog.context import EvalContext
@@ -80,29 +59,24 @@ from repro.datalog.evaluation import (
     planned_search,
 )
 from repro.datalog.planner import JoinPlanner
-from repro.datalog.sharded import (
-    _run_wave,
-    assignment_replay_order,
-    partition_facts,
-)
 from repro.exceptions import EvaluationError, StorageError
 from repro.storage.database import BaseDatabase
 from repro.storage.facts import Fact
 from repro.storage.sqlite_backend import TAG_ASSIGN, SQLiteDatabase
 
 
-def _maintenance_fanout(context: EvalContext | None) -> Tuple[int, int] | None:
-    """``(nshards, workers)`` when ``context`` opts into sharded maintenance.
+def assignment_replay_order(assignment: Assignment) -> tuple:
+    """Canonical record order of one (rule, round) batch of assignments.
 
-    None — run the serial drivers — when no context is given, the context
-    does not opt in, or a single shard would make partitioning pure overhead.
+    Sorts by the used facts (one rule per batch, so the tuples are
+    comparable), which makes the record stream independent of the
+    ``PYTHONHASHSEED``-salted enumeration order of hash-based indexes.
     """
-    if context is None or not context.wants_shard_maintenance():
-        return None
-    nshards = context.shard_count()
-    if nshards <= 1:
-        return None
-    return nshards, context.worker_count()
+    return tuple(
+        (atom.relation, atom.is_delta, item.sort_key())
+        for atom, item in assignment.used
+    )
+
 
 #: Signature of the recording callback the maintenance drivers feed: returns
 #: True when the assignment was new (first sighting in the store), in which
@@ -533,61 +507,11 @@ def make_assignment_store(
 # ---------------------------------------------------------------------------
 
 
-def seeded_position_assignments(
-    source,
-    rule: Rule,
-    new_by_relation: Dict[str, Set[Fact]],
-    planner: JoinPlanner,
-    rank: int,
-    eligible: Sequence[int],
-    seed_facts: Iterable[Fact],
-) -> List[Assignment]:
-    """One eligible position's slice of the insert-discovery enumeration.
-
-    The insert-side mirror of
-    :func:`repro.datalog.seminaive.seeded_rank_assignments`: the seed facts
-    are passed explicitly so callers can restrict them to a subset — the
-    sharded maintenance path hands each worker one hash partition of the
-    position's new facts, and the union over a partition equals the
-    position's full result.  ``source`` is the candidate window the join
-    probes: the database itself, or a read-only
-    :class:`~repro.storage.sqlite_backend.SQLiteReaderView` when the caller
-    runs this on a worker thread.  ``rule``'s plan must already be cached
-    (``planner.plan(rule, seed=eligible[rank])`` on the calling thread)
-    before worker threads enter.
-    """
-    body = rule.body
-    seed_index = eligible[rank]
-    seed_atom = body[seed_index]
-    pre_batch = set(eligible[:rank])
-    plan = planner.plan(rule, seed=seed_index)
-
-    def candidates_for(index, atom, fixed, pre_batch=pre_batch):
-        facts = source.candidates(atom.relation, fixed, delta=atom.is_delta)
-        if index in pre_batch:
-            fresh = new_by_relation.get(atom.relation)
-            if fresh:
-                return (item for item in facts if item not in fresh)
-        return facts
-
-    results: List[Assignment] = []
-    for item in seed_facts:
-        bindings = _match_atom(seed_atom, item, {})
-        if bindings is None:
-            continue
-        planned_search(
-            rule, plan.order, 1, bindings, [(seed_index, item)], set(),
-            results, candidates_for,
-        )
-    return results
-
-
 def seeded_insert_assignments(
     db: BaseDatabase,
     rule: Rule,
     new_by_relation: Dict[str, Set[Fact]],
     planner: JoinPlanner,
-    context: EvalContext | None = None,
 ) -> List[Assignment]:
     """Assignments of ``rule`` using at least one newly inserted base fact.
 
@@ -599,15 +523,8 @@ def seeded_insert_assignments(
     fact, with earlier eligible positions restricted to pre-batch facts.
     Delta atoms match the current delta extent — the closure *before* the
     batch — so assignments needing a freshly derived delta fact are left to
-    the frontier propagation that follows.
-
-    When ``context`` opts into sharded maintenance, each eligible position's
-    seed facts are hash-partitioned and the per-partition joins fan out over
-    the worker pool (read-only reader views on file-backed SQLite, the shared
-    indexes in memory; in-memory SQLite has no sibling connections, so its
-    partitions run inline).  Serial or sharded, the returned list is sorted
-    into :func:`~repro.datalog.sharded.assignment_replay_order` — identical
-    streams at any shard/worker count.
+    the frontier propagation that follows.  The result is sorted into
+    :func:`assignment_replay_order`.
     """
     body = rule.body
     eligible = [
@@ -615,52 +532,29 @@ def seeded_insert_assignments(
         for index, atom in enumerate(body)
         if not atom.is_delta and new_by_relation.get(atom.relation)
     ]
-    fanout = _maintenance_fanout(context)
-    if fanout is None:
-        results: List[Assignment] = []
-        for rank in range(len(eligible)):
-            results.extend(
-                seeded_position_assignments(
-                    db, rule, new_by_relation, planner, rank, eligible,
-                    new_by_relation[body[eligible[rank]].relation],
-                ),
-            )
-        return sorted(results, key=assignment_replay_order)
+    results: List[Assignment] = []
+    for rank, seed_index in enumerate(eligible):
+        seed_atom = body[seed_index]
+        pre_batch = set(eligible[:rank])
+        plan = planner.plan(rule, seed=seed_index)
 
-    nshards, workers = fanout
-    views = db.reader_views(workers) if isinstance(db, SQLiteDatabase) else None
-    if isinstance(db, SQLiteDatabase) and views is None:
-        # In-memory SQLite: no sibling connections — the partitions still run
-        # (same accounting, same merge order), inline on the primary.
-        workers = 1
+        def candidates_for(index, atom, fixed, pre_batch=pre_batch):
+            facts = db.candidates(atom.relation, fixed, delta=atom.is_delta)
+            if index in pre_batch:
+                fresh = new_by_relation.get(atom.relation)
+                if fresh:
+                    return (item for item in facts if item not in fresh)
+            return facts
 
-    def run_partition(slot: int, rank: int, seeds: List[Fact]):
-        source = views[slot] if views is not None else db
-        return seeded_position_assignments(
-            source, rule, new_by_relation, planner, rank, eligible, seeds,
-        )
-
-    jobs = []
-    for rank in range(len(eligible)):
-        # Plans are built on the calling thread before the wave is submitted;
-        # workers only ever hit the cache.
-        planner.plan(rule, seed=eligible[rank])
-        partitions = partition_facts(
-            new_by_relation[body[eligible[rank]].relation], nshards,
-        )
-        for partition in partitions:
-            if not partition:
+        for item in new_by_relation[seed_atom.relation]:
+            bindings = _match_atom(seed_atom, item, {})
+            if bindings is None:
                 continue
-            slot = len(jobs) % max(workers, 1)
-            jobs.append(
-                lambda s=slot, k=rank, seeds=partition: run_partition(s, k, seeds),
+            planned_search(
+                rule, plan.order, 1, bindings, [(seed_index, item)], set(),
+                results, candidates_for,
             )
-    merged: List[Assignment] = []
-    for results in _run_wave(jobs, workers):
-        merged.extend(results)
-    if context is not None:
-        context.stats.maint_discovery_shards += len(jobs)
-    return sorted(merged, key=assignment_replay_order)
+    return sorted(results, key=assignment_replay_order)
 
 
 def _check_round_cap(rounds: int, max_rounds: int | None) -> None:
@@ -692,40 +586,23 @@ def propagate_marks(
     :class:`~repro.exceptions.EvaluationError`.  Returns the number of
     frontier rounds run.
 
-    Each (rule, round) batch is recorded in
-    :func:`~repro.datalog.sharded.assignment_replay_order`; when the context
-    opts into sharded maintenance the rounds reuse the sharded closure
-    machinery (frontier token partitions in memory, ``rowid % :nshards``
-    variant windows on reader connections on SQLite) and merge into the same
-    order, so the record stream never depends on the shard/worker count.
+    Each (rule, round) batch is recorded in :func:`assignment_replay_order`.
     """
     delta_rules = [rule for rule in rules if any(atom.is_delta for atom in rule.body)]
-    fanout = _maintenance_fanout(context)
     if isinstance(db, SQLiteDatabase):
-        return _propagate_sql(
-            db, delta_rules, context, record, seeds, max_rounds, fanout,
-        )
-    return _propagate_memory(
-        db, delta_rules, planner, context, record, seeds, max_rounds, fanout,
-    )
+        return _propagate_sql(db, delta_rules, context, record, seeds, max_rounds)
+    return _propagate_memory(db, delta_rules, planner, record, seeds, max_rounds)
 
 
 def _propagate_memory(
     db: BaseDatabase,
     delta_rules: List[Rule],
     planner: JoinPlanner,
-    context: EvalContext | None,
     record: RecordFn,
     seeds: Iterable[Fact],
     max_rounds: int | None,
-    fanout: Tuple[int, int] | None,
 ) -> int:
-    from repro.datalog.seminaive import (
-        Frontier,
-        delta_body_positions,
-        seeded_assignments,
-        seeded_rank_assignments,
-    )
+    from repro.datalog.seminaive import Frontier, seeded_assignments
 
     relations = sorted(
         {atom.relation for rule in delta_rules for atom in rule.body if atom.is_delta},
@@ -748,121 +625,12 @@ def _propagate_memory(
         planner.begin_round()
         derived: List[Fact] = []
         for rule in delta_rules:
-            if fanout is None:
-                batch = list(seeded_assignments(db, rule, frontier, planner))
-            else:
-                # The sharded closure's round machinery: partition each
-                # rank's frontier seeds, one read-only join job per
-                # non-empty partition, plans pre-built on the merge thread.
-                nshards, workers = fanout
-                jobs = []
-                for rank, seed_index in enumerate(delta_body_positions(rule)):
-                    seed_facts = frontier.get(rule.body[seed_index].relation)
-                    if not seed_facts:
-                        continue
-                    planner.plan(rule, seed=seed_index)
-                    for partition in partition_facts(seed_facts, nshards):
-                        if not partition:
-                            continue
-                        jobs.append(
-                            lambda r=rule, k=rank, i=seed_index, s=partition:
-                            seeded_rank_assignments(
-                                db, r, frontier, planner, k, i, s
-                            ),
-                        )
-                batch = []
-                for results in _run_wave(jobs, workers):
-                    batch.extend(results)
-                if context is not None:
-                    context.stats.maint_propagate_shards += len(jobs)
+            batch = seeded_assignments(db, rule, frontier, planner)
             for assignment in sorted(batch, key=assignment_replay_order):
                 if record(assignment):
                     derived.append(assignment.derived)
         for item in derived:
             db.mark_deleted(item)
-
-
-def _sharded_seeded_sql(
-    db: SQLiteDatabase,
-    rule: Rule,
-    lo: int,
-    hi: int,
-    context: EvalContext,
-    nshards: int,
-    workers: int,
-    readers,
-) -> List[Assignment]:
-    """One rule's seeded-variant assignments for ``(lo, hi]``, shard-split.
-
-    The maintenance mirror of the sharded closure's shard wave: every seeded
-    variant's ``sharded_sql`` runs once per ``rowid % :nshards`` partition —
-    concurrently on the leased worker pool when reader connections exist,
-    inline on the primary otherwise — and the merge thread reconstructs the
-    assignments in (variant, shard) order.  The union over shards equals the
-    unsharded :func:`~repro.datalog.sql_seminaive.seeded_assignments_sql`
-    result for the same window.
-    """
-    from repro.datalog.sql_compiler import assignments_from_rows
-
-    _, seeded = context.frontier_variants(rule)
-    if not seeded:
-        return []
-    window = {"lo": lo, "hi": hi}
-    for variant in seeded:
-        # wcoj covering indexes must be committed on the primary connection
-        # before any reader runs the variant's partitioned join.
-        if variant.wcoj_index_sql:
-            db.ensure_wcoj_indexes(variant.wcoj_index_sql)
-
-    def job(slot: int, items: List[Tuple[int, int]]):
-        connection = readers[slot] if readers is not None else None
-        results: Dict[Tuple[int, int], list] = {}
-        for variant_index, shard in items:
-            variant = seeded[variant_index]
-            bind = variant.bind(nshards=nshards, shard=shard, **window)
-            if connection is not None:
-                cursor = connection.execute(variant.sharded_sql, bind)
-                results[(variant_index, shard)] = cursor.fetchall()
-            else:
-                results[(variant_index, shard)] = db.execute(
-                    variant.sharded_sql, bind,
-                ).fetchall()
-        return results
-
-    items = [
-        (variant_index, shard)
-        for variant_index in range(len(seeded))
-        for shard in range(nshards)
-    ]
-    if readers is not None:
-        slices = [items[slot::workers] for slot in range(workers)]
-        slices = [chunk for chunk in slices if chunk]
-        waves = _run_wave(
-            [
-                (lambda s=slot, c=chunk: job(s, c))
-                for slot, chunk in enumerate(slices)
-            ],
-            workers,
-        )
-        by_key: Dict[Tuple[int, int], list] = {}
-        for result in waves:
-            by_key.update(result)
-        # Reader connections bypass ``db.execute``; replay the statements to
-        # the hooks from the merge thread so counters stay coherent.
-        for variant_index, _shard in items:
-            db.notify_statement_hooks(seeded[variant_index].sharded_sql)
-    else:
-        by_key = job(0, items)
-    context.stats.maint_propagate_shards += len(items)
-    batch: List[Assignment] = []
-    for variant_index, variant in enumerate(seeded):
-        for shard in range(nshards):
-            batch.extend(
-                assignments_from_rows(
-                    rule, variant.atom_arities, by_key[(variant_index, shard)]
-                ),
-            )
-    return batch
 
 
 def _propagate_sql(
@@ -872,14 +640,9 @@ def _propagate_sql(
     record: RecordFn,
     seeds: Iterable[Fact],
     max_rounds: int | None,
-    fanout: Tuple[int, int] | None,
 ) -> int:
     from repro.datalog.sql_seminaive import seeded_assignments_sql
 
-    readers = None
-    if fanout is not None:
-        nshards, workers = fanout
-        readers = db.reader_connections(workers) if workers > 1 else None
     lo = db.generation()
     for item in seeds:
         db.mark_deleted(item)
@@ -890,14 +653,9 @@ def _propagate_sql(
         _check_round_cap(rounds, max_rounds)
         derived: List[Fact] = []
         for rule in delta_rules:
-            # Materialise before marking: the streaming SELECT must not see
-            # writes mid-cursor (and the canonical sort needs the full batch).
-            if fanout is None:
-                batch = list(seeded_assignments_sql(db, rule, lo, hi, context))
-            else:
-                batch = _sharded_seeded_sql(
-                    db, rule, lo, hi, context, nshards, workers, readers,
-                )
+            # Sorting materialises the batch before any mark: the streaming
+            # SELECT must not see writes mid-cursor.
+            batch = seeded_assignments_sql(db, rule, lo, hi, context)
             for assignment in sorted(batch, key=assignment_replay_order):
                 if record(assignment):
                     derived.append(assignment.derived)
@@ -921,9 +679,7 @@ def maintain_insertions(
     ``new_facts`` must already be in the active extent (as stored, with
     tids).  ``max_rounds`` caps the frontier propagation like the closure
     engines.  Returns the number of frontier propagation rounds the batch
-    needed.  When ``context`` opts into sharded maintenance, both the
-    discovery joins and the propagation rounds fan out over the worker pool
-    (see the module docstring) with an unchanged record stream.
+    needed.
     """
     new_by_relation: Dict[str, Set[Fact]] = {}
     for item in new_facts:
@@ -933,7 +689,7 @@ def maintain_insertions(
     seeds: List[Fact] = []
     for rule in rules:
         for assignment in seeded_insert_assignments(
-            db, rule, new_by_relation, planner, context,
+            db, rule, new_by_relation, planner,
         ):
             if record(assignment) and not db.has_delta(assignment.derived):
                 seeds.append(assignment.derived)
@@ -947,139 +703,12 @@ def maintain_insertions(
 # ---------------------------------------------------------------------------
 
 
-def _overdelete_scan(
-    store: AssignmentStore, items: List[Fact], counting: bool,
-) -> List[Tuple[Fact, List[Fact]]]:
-    """One partition's read-only over-delete step: survivors and successors.
-
-    For each fact of the partition not provably alive by counting, returns
-    the fact together with the derived facts of its delta users — the next
-    BFS level's candidates.  Pure store reads; safe on a worker thread while
-    the store is frozen for the wave.
-    """
-    out: List[Tuple[Fact, List[Fact]]] = []
-    for item in items:
-        if counting and store.base_only_supports(item) > 0:
-            # Provably alive: some support uses surviving base facts only, so
-            # neither this fact nor (through it) its delta users can retract.
-            continue
-        successors: List[Fact] = []
-        for signature in store.delta_users(item):
-            user = store.get(signature)
-            if user is not None:
-                successors.append(user.derived)
-        out.append((item, successors))
-    return out
-
-
-def _rederive_scan(
-    store: AssignmentStore,
-    items: List[Fact],
-    overdeleted: Set[Fact],
-    rederived: Set[Fact],
-) -> List[Fact]:
-    """One partition's read-only re-derive sweep against a frozen snapshot."""
-    out: List[Fact] = []
-    for item in items:
-        for signature in store.supports(item):
-            assignment = store.get(signature)
-            if assignment is None:
-                continue
-            if all(
-                used not in overdeleted or used in rederived
-                for used in assignment.delta_facts()
-            ):
-                out.append(item)
-                break
-    return out
-
-
-def _sharded_overdelete(
-    store: AssignmentStore,
-    killed: List[Fact],
-    counting: bool,
-    fanout: Tuple[int, int],
-    stats,
-) -> Set[Fact]:
-    """Level-synchronous over-delete BFS, one fact partition per job.
-
-    Each level partitions its unvisited candidates by
-    :func:`~repro.datalog.sharded.fact_shard`; workers run the read-only
-    :func:`_overdelete_scan` (nothing mutates the store during a wave) and
-    the merge thread folds the survivors in.  The same skip conditions as
-    the serial deque BFS — already visited, or provably alive by counting —
-    give the same over-deleted set: support counts never change mid-BFS, so
-    check timing is immaterial.
-    """
-    nshards, workers = fanout
-    overdeleted: Set[Fact] = set()
-    frontier: List[Fact] = list(killed)
-    while frontier:
-        level = [item for item in dict.fromkeys(frontier) if item not in overdeleted]
-        if not level:
-            break
-        jobs = []
-        for partition in partition_facts(level, nshards):
-            if partition:
-                jobs.append(
-                    lambda items=partition: _overdelete_scan(
-                        store, items, counting
-                    ),
-                )
-        frontier = []
-        for results in _run_wave(jobs, workers):
-            for item, successors in results:
-                overdeleted.add(item)
-                frontier.extend(successors)
-        if stats is not None:
-            stats.maint_dred_shards += len(jobs)
-    return overdeleted
-
-
-def _sharded_rederive(
-    store: AssignmentStore,
-    overdeleted: Set[Fact],
-    fanout: Tuple[int, int],
-    stats,
-) -> Set[Fact]:
-    """Sweep-synchronous re-derive fixpoint over frozen snapshots.
-
-    Each sweep partitions the not-yet-rescued candidates and checks them
-    against the (overdeleted, rederived) state frozen at sweep start; newly
-    rescued facts join ``rederived`` on the merge thread between sweeps.
-    The serial loop applies the same monotone operator with finer-grained
-    visibility, so both reach the identical least fixpoint.
-    """
-    nshards, workers = fanout
-    rederived: Set[Fact] = set()
-    changed = True
-    while changed:
-        changed = False
-        candidates = [item for item in overdeleted if item not in rederived]
-        jobs = []
-        for partition in partition_facts(candidates, nshards):
-            if partition:
-                jobs.append(
-                    lambda items=partition: _rederive_scan(
-                        store, items, overdeleted, rederived
-                    ),
-                )
-        for results in _run_wave(jobs, workers):
-            for item in results:
-                rederived.add(item)
-                changed = True
-        if stats is not None and jobs:
-            stats.maint_dred_shards += len(jobs)
-    return rederived
-
-
 def dred_delete(
     db: BaseDatabase,
     store: AssignmentStore,
     removed: Iterable[Fact],
     stats=None,
     counting: bool = True,
-    context: EvalContext | None = None,
 ) -> Tuple[Set[Fact], Set[Fact], Set[Fact]]:
     """Propagate base-fact deletions through the closure, DRed-style.
 
@@ -1110,20 +739,10 @@ def dred_delete(
     unsound under recursion — facts in a cycle support each other without
     being grounded in base facts.
 
-    When ``context`` opts into sharded maintenance, the over-delete BFS runs
-    level-synchronously and the re-derive fixpoint sweep-synchronously, each
-    wave scanning one :func:`~repro.datalog.sharded.fact_shard` partition of
-    the frozen store per worker-pool job (:func:`_sharded_overdelete` /
-    :func:`_sharded_rederive`) — same sets, since both formulations compute
-    the same monotone closures.  The counting fast path is untouched: batches
-    it decides never reach the scans at all.
-
     Returns ``(overdeleted, rederived, retracted)``; delta programs are
     monotone, so the result is exact — retracted facts are precisely the
     closure difference.
     """
-    if stats is None and context is not None:
-        stats = context.stats
     killed: List[Fact] = []
     for item in removed:
         for signature in store.base_users(item):
@@ -1141,52 +760,45 @@ def dred_delete(
         if stats is not None:
             stats.dred_fallbacks += 1
 
-    fanout = _maintenance_fanout(context)
-    if fanout is not None:
-        overdeleted = _sharded_overdelete(store, killed, counting, fanout, stats)
-        rederived = _sharded_rederive(store, overdeleted, fanout, stats)
-    else:
-        work: deque[Fact] = deque(killed)
-        overdeleted = set()
-        while work:
-            item = work.popleft()
-            if item in overdeleted:
-                continue
-            if counting and store.base_only_supports(item) > 0:
-                # Provably alive: some support uses surviving base facts
-                # only, so neither this fact nor (through it) its delta
-                # users can retract.
-                continue
-            overdeleted.add(item)
-            for signature in store.delta_users(item):
-                user = store.get(signature)
-                if user is not None:
-                    work.append(user.derived)
+    work: deque[Fact] = deque(killed)
+    overdeleted: Set[Fact] = set()
+    while work:
+        item = work.popleft()
+        if item in overdeleted:
+            continue
+        if counting and store.base_only_supports(item) > 0:
+            # Provably alive: some support uses surviving base facts only, so
+            # neither this fact nor (through it) its delta users can retract.
+            continue
+        overdeleted.add(item)
+        for signature in store.delta_users(item):
+            user = store.get(signature)
+            if user is not None:
+                work.append(user.derived)
 
-        rederived = set()
-        changed = True
-        while changed:
-            changed = False
-            for item in overdeleted:
-                if item in rederived:
+    rederived: Set[Fact] = set()
+    changed = True
+    while changed:
+        changed = False
+        for item in overdeleted:
+            if item in rederived:
+                continue
+            for signature in store.supports(item):
+                assignment = store.get(signature)
+                if assignment is None:
                     continue
-                for signature in store.supports(item):
-                    assignment = store.get(signature)
-                    if assignment is None:
-                        continue
-                    if all(
-                        used not in overdeleted or used in rederived
-                        for used in assignment.delta_facts()
-                    ):
-                        rederived.add(item)
-                        changed = True
-                        break
+                if all(
+                    used not in overdeleted or used in rederived
+                    for used in assignment.delta_facts()
+                ):
+                    rederived.add(item)
+                    changed = True
+                    break
 
     retracted = overdeleted - rederived
-    # Canonical retraction order: set iteration depends on insertion history
-    # (which differs between the serial BFS and the level-synchronous one),
-    # and retraction order is what the persistent store's pending buffer and
-    # the backend deletes observe.
+    # Canonical retraction order: set iteration order depends on string
+    # hashing, and retraction order is what the persistent store's pending
+    # buffer and the backend deletes observe.
     for item in sorted(retracted, key=Fact.sort_key):
         db.retract_delta(item)
         for signature in store.delta_users(item):

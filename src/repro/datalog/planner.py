@@ -113,47 +113,6 @@ MAX_DRIFT_FACTOR = 64.0
 #: (``binary`` or ``wcoj``); read at each plan build so tests can flip it.
 PLAN_ENV = "REPRO_FORCE_PLAN"
 
-#: Smallest frontier/extent size worth a full shard fan-out.  Below this the
-#: sharded drivers collapse the variant to a single inline evaluation (see
-#: :func:`effective_shard_count`): the per-round delta of a deep cascade is
-#: often a handful of facts, and hashing/merging them across shards costs more
-#: than the join itself.  Override per context via
-#: ``EvalContext(collapse_min=...)`` or :data:`~repro.datalog.context.COLLAPSE_ENV`.
-COLLAPSE_MIN_FRONTIER = 64
-
-
-def effective_shard_count(
-    size: int, shards: int, workers: int, minimum: int = COLLAPSE_MIN_FRONTIER,
-) -> int:
-    """The shard count one variant execution should actually fan out to.
-
-    Dynamic shard collapse (the adaptive half of the sharded engine): the
-    configured ``shards`` is a *ceiling*, and the per-(rule, variant, round)
-    decision scales it down from the observed ``size`` of the frontier or
-    extent the variant will scan:
-
-    * with ``workers <= 1`` or ``shards <= 1`` there is no real concurrency —
-      fan-out is pure bookkeeping overhead, so everything collapses to one
-      inline evaluation (this is what makes ``engine="sharded"`` never slower
-      than semi-naive on a single core);
-    * a ``size`` below ``minimum`` collapses too — per-round work should be
-      proportional to the delta, and a tiny frontier must not pay a fan-out;
-    * otherwise the variant fans out to one shard per ``minimum`` rows, at
-      least two (collapsing *to* one is the inline case above), never more
-      than ``shards``.
-
-    ``minimum <= 0`` disables collapse entirely (full fan-out regardless of
-    size) — the escape hatch the determinism differentials use to force the
-    parallel machinery on small instances.
-    """
-    if shards <= 1:
-        return 1
-    if minimum <= 0:
-        return shards
-    if workers <= 1 or size < minimum:
-        return 1
-    return min(shards, max(2, size // minimum))
-
 #: The two plan kinds (see module docstring, *Width-aware plan kinds*).
 PLAN_BINARY = "binary"
 PLAN_WCOJ = "wcoj"

@@ -75,11 +75,8 @@ def seeded_rank_assignments(
 ) -> List[Assignment]:
     """Assignments of ``rule`` seeded from ``seed_facts`` at delta rank ``rank``.
 
-    One rank of the stratified enumeration of :func:`seeded_assignments`,
-    with the seed facts passed explicitly so callers can restrict them to a
-    subset — the sharded engine (:mod:`repro.datalog.sharded`) hands each
-    worker one hash partition of the rank's frontier.  The union over a
-    partition of the rank's frontier facts equals the rank's full result.
+    One rank of the stratified enumeration of :func:`seeded_assignments`:
+    ``seed_facts`` are the frontier facts of the seed atom's relation.
     """
     seed_atom = rule.body[seed_index]
     delta_positions = delta_body_positions(rule)

@@ -96,17 +96,12 @@ TAG_STAGE_DELETE = "/* repro:stage-delete */"
 TAG_STAGE_ROWS = "/* repro:stage-rows */"
 TAG_INSTALL_DIRECT = "/* repro:install-direct */"
 TAG_INSTALL_STAGED = "/* repro:install-staged */"
-TAG_SHARD_SELECT = "/* repro:shard-select */"
-TAG_SHARD_INSTALL = "/* repro:shard-install */"
 
 #: Extra tag carried by every statement of a wcoj-lowered variant — the join
 #: statements *in addition to* their class tag, and the covering-index DDL of
 #: :attr:`FrontierQuery.wcoj_index_sql` on its own.  Statement hooks count it
 #: to assert which plan kind a run's SQL actually executed.
 TAG_WCOJ = "/* repro:wcoj */"
-
-#: Marker for constant entries of :attr:`FrontierQuery.head_sources`.
-HEAD_CONST = "const"
 
 #: Process-wide allocator of :attr:`FrontierQuery.variant_id` keys.  Ids are
 #: assigned at compile time and never reused, so two live variants can never
@@ -297,41 +292,6 @@ class FrontierQuery:
         Number of projected (staged) columns of the body join.
     variant_id:
         The variant's key into :attr:`stage_table` (process-wide unique).
-    sharded_sql:
-        :attr:`sql` restricted to one hash partition of the shard axis: the
-        body join with ``rowid % :nshards = :shard`` (normalised to a
-        non-negative residue) on :attr:`shard_alias` appended.  The union of
-        the results over ``shard = 0 .. :nshards - 1`` is exactly the
-        unsharded result — every row of the shard-axis table falls in one
-        partition — so the sharded driver evaluates each variant's join once
-        per round *in total*, split across shards.
-    sharded_heads_sql:
-        ``SELECT DISTINCT <head exprs>`` over the same sharded body join —
-        the fast-path form: only the derived head facts cross into Python,
-        deduplicated per shard (cross-shard duplicates die in the
-        ``INSERT OR IGNORE`` of :attr:`head_insert_sql`).
-    sharded_install_sql:
-        :attr:`install_sql` restricted to one shard: the install-only fast
-        path for *sequential* shard execution (no reader connections — an
-        in-memory database or a single worker), where the primary connection
-        can run the partitioned join and the install as one statement and no
-        row ever crosses into Python.
-    head_insert_sql:
-        ``INSERT OR IGNORE INTO f_H (c0.., tid, gen) VALUES (?, .., NULL, ?)``
-        — the executemany install the sharded driver runs on the *primary*
-        connection over the merged shard rows; bind one ``(*head_values,
-        gen)`` tuple per row.
-    head_sources:
-        How to reconstruct the head-fact values from one assignment row of
-        :attr:`sql` / :attr:`sharded_sql`: a tuple with one entry per head
-        position — ``("col", index)`` picks the row column at ``index``,
-        ``(HEAD_CONST, value)`` is a constant head term.  Mirrors the head
-        expressions of :attr:`staged_install_sql`, so the sharded staged
-        path installs the same facts the staged SQL install would.
-    shard_alias:
-        The body alias carrying the shard predicate: the seed atom for
-        seeded variants (partitioning the frontier window), the first body
-        atom for the round-1 full variant.
     plan_kind:
         The lowering this variant was compiled under (``"binary"`` comma
         join or ``"wcoj"`` ordered ``CROSS JOIN``); see
@@ -359,26 +319,12 @@ class FrontierQuery:
     stage_table: str
     stage_width: int
     variant_id: int
-    sharded_sql: str
-    sharded_heads_sql: str
-    sharded_install_sql: str
-    head_insert_sql: str
-    head_sources: tuple[tuple[str, Any], ...]
-    shard_alias: str
     plan_kind: str = PLAN_BINARY
     wcoj_index_sql: tuple[str, ...] = ()
 
     def bind(self, **window: int) -> Dict[str, Any]:
         """The full parameter mapping for one execution of the variant."""
         return {**dict(self.params), **window}
-
-    def head_values(self, row: tuple) -> tuple:
-        """The head-fact values one assignment row derives (see
-        :attr:`head_sources`)."""
-        return tuple(
-            value if kind == HEAD_CONST else row[value]
-            for kind, value in self.head_sources
-        )
 
 
 def resolve_plan_kind(rule: Rule) -> str:
@@ -584,23 +530,6 @@ def _compile_frontier_variant(
     body_sql = f"FROM {from_sql}{where_sql}"
     sql = f"{TAG_ASSIGN_SELECT}{wcoj_tag} SELECT {', '.join(select_parts)} {body_sql}"
 
-    # Shard axis: the seed atom (its frontier window is what the sharded
-    # driver partitions) or, for the full round-1 variant, the first body
-    # atom.  The residue is normalised because SQLite's ``%`` keeps the sign
-    # of the dividend and rowid-aliased INTEGER PRIMARY KEY columns may hold
-    # negative values.
-    shard_alias = f"a{seed}" if seed is not None else "a0"
-    shard_predicate = (
-        f"(({shard_alias}.rowid % :nshards) + :nshards) % :nshards = :shard"
-    )
-    sharded_body_sql = (
-        f"FROM {from_sql} WHERE " + " AND ".join([*where, shard_predicate])
-    )
-    sharded_sql = (
-        f"{TAG_SHARD_SELECT}{wcoj_tag} SELECT {', '.join(select_parts)} "
-        f"{sharded_body_sql}"
-    )
-
     variant_id = next(_variant_ids)
     stage_width = len(select_parts)
     stage_table = stage_table_name(stage_width)
@@ -620,7 +549,6 @@ def _compile_frontier_variant(
 
     head_exprs: List[str] = []
     staged_head_exprs: List[str] = []
-    head_sources: List[tuple[str, Any]] = []
     for term in rule.head.terms:
         if isinstance(term, Variable):
             if term.name not in variable_column:
@@ -631,15 +559,11 @@ def _compile_frontier_variant(
             column = variable_column[term.name]
             head_exprs.append(column)
             staged_head_exprs.append(staged_column[column])
-            # ``sN`` aliases are allocated in select-list order, so the alias
-            # suffix doubles as the row index of the projected column.
-            head_sources.append(("col", int(staged_column[column][1:])))
         else:
             assert isinstance(term, Constant)
             placeholder = constant_param(term.value)
             head_exprs.append(placeholder)
             staged_head_exprs.append(placeholder)
-            head_sources.append((HEAD_CONST, term.value))
     head_columns = ", ".join(
         [*(f"c{i}" for i in range(rule.head.arity)), "tid", "gen"],
     )
@@ -655,19 +579,6 @@ def _compile_frontier_variant(
         f"{TAG_INSTALL_STAGED} {install_into}"
         f"SELECT DISTINCT {', '.join(staged_head_exprs)}, NULL, :gen "
         f"FROM {stage_table} WHERE variant_id = :variant"
-    )
-    sharded_heads_sql = (
-        f"{TAG_SHARD_SELECT}{wcoj_tag} SELECT DISTINCT {', '.join(head_exprs)} "
-        f"{sharded_body_sql}"
-    )
-    sharded_install_sql = (
-        f"{TAG_SHARD_INSTALL}{wcoj_tag} {install_into}"
-        f"SELECT DISTINCT {', '.join(head_exprs)}, NULL, :gen {sharded_body_sql}"
-    )
-    head_insert_sql = (
-        f"{TAG_SHARD_INSTALL} {install_into}VALUES ("
-        + ", ".join(["?"] * rule.head.arity)
-        + ", NULL, ?)"
     )
 
     seed_atom = rule.body[seed] if seed is not None else None
@@ -685,12 +596,6 @@ def _compile_frontier_variant(
         stage_table=stage_table,
         stage_width=stage_width,
         variant_id=variant_id,
-        sharded_sql=sharded_sql,
-        sharded_heads_sql=sharded_heads_sql,
-        sharded_install_sql=sharded_install_sql,
-        head_insert_sql=head_insert_sql,
-        head_sources=tuple(head_sources),
-        shard_alias=shard_alias,
         plan_kind=kind,
         wcoj_index_sql=wcoj_index_sql,
     )

@@ -51,13 +51,7 @@ each discovery join is staged once and its rows feed both the
 live-assignment index and the observers (delivered once per enumeration);
 with no observers — or no context — a plain streaming SELECT is already
 single-pass, so nothing is materialised (the plain joins are counted in
-``stats.assignment_selects`` when a context is present).  On a file-backed
-database with workers available, the staging join itself is hash-partitioned
-over read-only reader connections (:func:`_discovery_stage_sharded`) —
-gathered rows are installed into the stage table by the primary connection
-and read back under a total ``ORDER BY`` over the staged columns, so the
-enumeration (and therefore the observer stream) is byte-identical whether
-the join ran serially or sharded, at any shard/worker count.
+``stats.assignment_selects`` when a context is present).
 
 Observers are registered either per call (``on_assignment=``) or on a shared
 :class:`~repro.datalog.context.EvalContext` (``context.add_observer``); the
@@ -76,7 +70,6 @@ from repro.datalog.ast import Program, Rule
 from repro.datalog.context import EvalContext
 from repro.datalog.evaluation import Assignment, ClosureResult, ENGINE_SEMI_NAIVE
 from repro.datalog.sql_compiler import (
-    TAG_STAGE,
     FrontierQuery,
     assignments_from_rows,
     compile_frontier_rule,
@@ -167,96 +160,11 @@ def _staged_rows_ordered_sql(variant: FrontierQuery) -> str:
 
     Staged rows are unique (each carries its atoms' tids), so ``ORDER BY
     s0..sN`` is a *total* order computed by SQLite's own collation — the
-    read-back order is independent of how the rows entered the stage table.
-    Both discovery staging paths (serial join and sharded gather) read back
-    through this statement, which is what makes the discovery observer
-    stream byte-identical across shard/worker configurations and processes.
+    read-back order, and with it the discovery observer stream, is
+    independent of the join order SQLite picked for the staging insert.
     """
     order = ", ".join(f"s{i}" for i in range(variant.stage_width))
     return f"{variant.staged_rows_sql} ORDER BY {order}"
-
-
-def _discovery_stage_sharded(
-    db: SQLiteDatabase,
-    rule: Rule,
-    variant: FrontierQuery,
-    window: Dict[str, int],
-    context: EvalContext,
-) -> bool:
-    """Try to stage one discovery variant's join shard-parallel; True if staged.
-
-    The stage-semantics mirror of the sharded closure's shard wave: the
-    variant's ``sharded_sql`` runs once per ``rowid % :nshards`` partition on
-    read-only reader connections (concurrently on the leased worker pool),
-    and the gathered rows are inserted into the variant's keyed stage slot
-    by the primary connection in canonical shard order.  Installs never
-    happen here — discovery only enumerates — so the primary does exactly
-    one ``DELETE`` and one batched ``INSERT``.  Falls back (returns False)
-    whenever sharding cannot help: no sharding requested, one worker, an
-    in-memory database without reader connections, or a frontier/extent
-    small enough that :meth:`~repro.datalog.context.EvalContext.effective_shards_for`
-    collapses the variant to a single partition.
-    """
-    if not context.wants_sharding() or context.shard_count() <= 1:
-        return False
-    workers = context.worker_count()
-    if workers <= 1 or not db.supports_readers():
-        return False
-    from repro.datalog.sharded import _axis_window_count, _run_wave
-
-    effective = context.effective_shards_for(
-        _axis_window_count(db, rule, variant, window),
-    )
-    if effective <= 1:
-        return False
-    slots = min(workers, effective)
-    readers = db.reader_connections(slots)
-    if not readers:
-        return False
-    if db.ensure_stage_table(variant.stage_width):
-        context.stats.stage_ddl += 1
-    if variant.wcoj_index_sql:
-        db.ensure_wcoj_indexes(variant.wcoj_index_sql)
-    db.execute(variant.stage_delete_sql, variant.bind())
-
-    def shard_job(reader, shard_indices):
-        rows_by_shard = {}
-        for shard in shard_indices:
-            bind = variant.bind(nshards=effective, shard=shard, **window)
-            rows_by_shard[shard] = reader.execute(
-                variant.sharded_sql, bind,
-            ).fetchall()
-        return rows_by_shard
-
-    jobs = [
-        lambda slot=slot: shard_job(
-            readers[slot], range(slot, effective, slots),
-        )
-        for slot in range(slots)
-    ]
-    by_shard: Dict[int, list] = {}
-    for part in _run_wave(jobs, slots):
-        by_shard.update(part)
-    # Replay the worker-thread SELECTs to the statement hooks from this
-    # (merge) thread, once per shard, exactly like the closure driver.
-    for _ in range(effective):
-        db.notify_statement_hooks(variant.sharded_sql)
-    context.stats.shard_selects += effective
-    staged = [
-        (variant.variant_id, *row)
-        for shard in range(effective)
-        for row in by_shard[shard]
-    ]
-    if staged:
-        columns = ", ".join(f"s{i}" for i in range(variant.stage_width))
-        holes = ", ".join("?" for _ in range(variant.stage_width))
-        db.executemany(
-            f"{TAG_STAGE} INSERT INTO {variant.stage_table} "
-            f"(variant_id, {columns}) VALUES (?, {holes})",
-            staged,
-        )
-    context.stats.staged_selects += 1
-    return True
 
 
 def _discovery_assignments(
@@ -271,18 +179,15 @@ def _discovery_assignments(
     The shared enumeration core of :func:`seeded_assignments_sql` and
     :func:`full_assignments_sql`: when the context carries assignment
     observers — the same gate the closure driver applies — the join is staged
-    through the keyed stage table (shard-parallel over reader connections
-    when :func:`_discovery_stage_sharded` applies, serially otherwise) and
-    each assignment is delivered to the observers before being yielded (and
-    the variant's key is cleared once the rows are consumed).  Both staging
-    forms read back through :func:`_staged_rows_ordered_sql`, so the
-    enumeration order never depends on the shard/worker configuration.
-    Without observers a plain streaming SELECT is already single-pass,
-    counted in ``stats.assignment_selects`` under a context.
+    through the keyed stage table, read back through
+    :func:`_staged_rows_ordered_sql`, and each assignment is delivered to the
+    observers before being yielded (the variant's key is cleared once the
+    rows are consumed).  Without observers a plain streaming SELECT is
+    already single-pass, counted in ``stats.assignment_selects`` under a
+    context.
     """
     if context is not None and context.has_observers:
-        if not _discovery_stage_sharded(db, rule, variant, window, context):
-            _stage_variant_join(db, variant, window, context)
+        _stage_variant_join(db, variant, window, context)
         rows = db.execute(_staged_rows_ordered_sql(variant), variant.bind())
         for batch in staged_row_batches(rows, context):
             for assignment in assignments_from_rows(

@@ -35,7 +35,7 @@ Integration contract
   :func:`wcoj_eligible`).
 * Intersections are materialised in sorted value order (type name + repr — a
   deterministic total order even over mixed-type columns), making the
-  enumeration order reproducible across runs and shard layouts.
+  enumeration order reproducible across runs.
 
 ``stats`` (a :class:`~repro.datalog.context.QueryStats`) receives one
 ``wcoj_intersections`` increment per variable-frontier intersection computed.

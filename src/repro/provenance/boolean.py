@@ -175,7 +175,7 @@ def build_boolean_provenance(
     from repro.storage.sqlite_backend import SQLiteDatabase
 
     planner = None
-    if resolve_engine(db, engine, context) != ENGINE_NAIVE and not isinstance(
+    if resolve_engine(db, engine) != ENGINE_NAIVE and not isinstance(
         db, SQLiteDatabase,
     ):
         from repro.datalog.planner import JoinPlanner

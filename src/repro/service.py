@@ -102,9 +102,8 @@ class RepairService:
         A :class:`~repro.datalog.delta.DeltaProgram` (validated against the
         schema) or any iterable of rules.
     engine:
-        Engine for the initial load (``"auto"``/``"naive"``/``"semi-naive"``/
-        ``"sharded"``); maintenance itself always runs the incremental
-        drivers.
+        Engine for the initial load (``"auto"``/``"naive"``/``"semi-naive"``);
+        maintenance itself always runs the incremental drivers.
     context:
         Optional shared :class:`~repro.datalog.context.EvalContext`; its
         observers see every assignment the service ever records, exactly
@@ -115,12 +114,6 @@ class RepairService:
         record order, so a fresh process keeps the exactly-once contract
         (an observer surviving from the writing process would see them
         twice — reuse the service, not just the database, in-process).
-        The context's ``shard_maintenance`` knob (or the
-        ``REPRO_SHARD_MAINTENANCE`` environment variable) additionally fans
-        every maintenance batch's discovery, propagation and DRed scans out
-        over the sharded worker pool, with a byte-identical maintained
-        state, record stream and persisted store at any ``shards=`` /
-        ``workers=`` count.
     counting:
         Enable the counting-based deletion fast path (default True): delete
         batches fully covered by base-only support counts skip the DRed
@@ -255,7 +248,6 @@ class RepairService:
                     removed,
                     stats=self.stats,
                     counting=self._counting,
-                    context=self._qctx,
                 )
             else:
                 overdeleted, rederived, retracted = set(), set(), set()

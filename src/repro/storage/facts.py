@@ -45,8 +45,7 @@ class Fact:
 
     def __reduce__(self) -> tuple:
         # Default pickling would __setattr__ into the frozen slots; rebuild
-        # through the constructor instead (the process-pool workers of the
-        # sharded engine ship fact batches across process boundaries).
+        # through the constructor instead.
         return (Fact, (self.relation, self.values, self.tid))
 
     # -- identity ----------------------------------------------------------

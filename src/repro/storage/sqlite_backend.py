@@ -30,12 +30,9 @@ the generic evaluator automatically uses that path whenever the database is a
 :class:`SQLiteDatabase`, and the closure engines route ``engine="auto"`` /
 ``"semi-naive"`` through the frontier-table driver.
 
-File-backed databases run in **WAL mode** (in-memory ones keep a MEMORY
-journal): WAL survives a crash mid-write where a MEMORY journal can corrupt
-the file, and it is what makes the sharded engine's multi-connection mode
-possible — :meth:`SQLiteDatabase.reader_connections` opens read-only sibling
-connections on the same file so per-shard join SELECTs run concurrently on
-worker threads while the primary connection serialises the installs.
+File-backed databases run in **WAL mode** with ``synchronous = NORMAL``
+(in-memory ones keep a MEMORY journal): WAL survives a crash mid-write where
+a MEMORY journal can corrupt the file.
 """
 
 from __future__ import annotations
@@ -110,18 +107,15 @@ class SQLiteDatabase(BaseDatabase):
         # bookkeeping leaks into the storage interface.
         self._connection = sqlite3.connect(path, isolation_level=None)
         if path == ":memory:":
-            # In-memory databases have no durability story and no sibling
-            # connections; the rollback journal is pure overhead.
+            # In-memory databases have no durability story; the rollback
+            # journal is pure overhead.
             self._connection.execute("PRAGMA synchronous = OFF")
             self._connection.execute("PRAGMA journal_mode = MEMORY")
         else:
             # File-backed databases run in WAL mode: crash-safe (a MEMORY
-            # journal can corrupt the file on an ill-timed kill) and the
-            # prerequisite for the sharded engine's read-only sibling
-            # connections (:meth:`reader_connections`) — WAL readers scan a
-            # consistent snapshot while the primary connection keeps
-            # appending installs.  ``synchronous = NORMAL`` is the
-            # recommended WAL pairing: commits only sync at checkpoints.
+            # journal can corrupt the file on an ill-timed kill).
+            # ``synchronous = NORMAL`` is the recommended WAL pairing:
+            # commits only sync at checkpoints.
             self._connection.execute("PRAGMA journal_mode = WAL")
             self._connection.execute("PRAGMA synchronous = NORMAL")
         # Keep temp objects (the persistent keyed stage tables) in memory even
@@ -138,9 +132,6 @@ class SQLiteDatabase(BaseDatabase):
         #: wcoj covering-index statements already applied through this
         #: connection (see :meth:`ensure_wcoj_indexes`).
         self._wcoj_indexes: set[str] = set()
-        #: Lazily opened read-only sibling connections (file-backed WAL
-        #: databases only; see :meth:`reader_connections`).
-        self._readers: list[sqlite3.Connection] = []
         self._create_tables()
         #: Monotone generation counter backing the frontier tables.  Reopening
         #: a file-backed database must resume after the persisted stamps, or
@@ -274,15 +265,9 @@ class SQLiteDatabase(BaseDatabase):
         rows = self._connection.execute(f"SELECT * FROM {delta_table(relation)}")
         return frozenset(self._rows_to_facts(relation, rows))
 
-    def _candidate_query(
-        self, relation: str, bindings: Mapping[int, Any], delta: bool,
-    ) -> tuple[str, list]:
-        """The ``candidates()`` SELECT and parameters, connection-agnostic.
-
-        Shared by the primary-connection :meth:`candidates` and the read-only
-        :class:`SQLiteReaderView` the sharded maintenance drivers hand their
-        worker threads, so both windows run the identical statement.
-        """
+    def candidates(
+        self, relation: str, bindings: Mapping[int, Any], delta: bool = False,
+    ) -> Iterator[Fact]:
         if relation not in self._schema:
             raise UnknownRelationError(relation)
         table = delta_table(relation) if delta else active_table(relation)
@@ -294,13 +279,7 @@ class SQLiteDatabase(BaseDatabase):
                 clauses.append(f"c{position} = ?")
                 params.append(value)
             where = " WHERE " + " AND ".join(clauses)
-        return f"SELECT * FROM {table}{where}", params
-
-    def candidates(
-        self, relation: str, bindings: Mapping[int, Any], delta: bool = False,
-    ) -> Iterator[Fact]:
-        sql, params = self._candidate_query(relation, bindings, delta)
-        rows = self._connection.execute(sql, params)
+        rows = self._connection.execute(f"SELECT * FROM {table}{where}", params)
         return self._rows_to_facts(relation, rows)
 
     def has_active(self, item: Fact) -> bool:
@@ -329,24 +308,6 @@ class SQLiteDatabase(BaseDatabase):
 
     def _count(self, table: str) -> int:
         row = self._connection.execute(f"SELECT COUNT(*) FROM {table}").fetchone()
-        return int(row[0])
-
-    def extent_count(
-        self,
-        table: str,
-        where: str | None = None,
-        params: dict | None = None,
-    ) -> int:
-        """Row count of ``table`` (optionally windowed), for shard-collapse costing.
-
-        Bypasses the statement hooks on purpose: this is a planning read, not
-        part of the per-round statement discipline the staging/sharding tests
-        pin down.
-        """
-        sql = f"SELECT COUNT(*) FROM {table}"
-        if where is not None:
-            sql += f" WHERE {where}"
-        row = self._connection.execute(sql, params or {}).fetchone()
         return int(row[0])
 
     # -- frontier tracking --------------------------------------------------------
@@ -468,70 +429,8 @@ class SQLiteDatabase(BaseDatabase):
         """The database path (``":memory:"`` for in-memory engines)."""
         return self._path
 
-    def supports_readers(self) -> bool:
-        """True when read-only sibling connections can be opened (file + WAL)."""
-        return self._path != ":memory:"
-
-    def reader_connections(self, count: int) -> "list[sqlite3.Connection] | None":
-        """``count`` read-only sibling connections onto this database file.
-
-        WAL multi-connection mode for the sharded engine: each returned
-        connection is opened on the same file with ``PRAGMA query_only = ON``
-        and ``check_same_thread=False``, so worker threads can run the
-        per-shard frontier-window SELECTs concurrently while the primary
-        connection serialises only the installs and stage-table writes.  WAL
-        readers see the last committed state at the start of each statement;
-        the sharded driver only writes between shard waves, so every reader
-        scans the full frontier of its round.  Connections are opened lazily,
-        cached for the database's lifetime, and closed by :meth:`close`.
-        Returns None for in-memory databases (no file to share — callers fall
-        back to the primary connection).
-        """
-        if not self.supports_readers():
-            return None
-        while len(self._readers) < count:
-            reader = sqlite3.connect(
-                self._path, isolation_level=None, check_same_thread=False,
-            )
-            reader.execute("PRAGMA query_only = ON")
-            self._readers.append(reader)
-        return self._readers[:count]
-
-    def reader_views(self, count: int) -> "list[SQLiteReaderView] | None":
-        """``count`` read-only :class:`SQLiteReaderView` windows, or None.
-
-        The Python-join counterpart of :meth:`reader_connections`: the
-        incremental maintenance drivers run their insert-discovery joins
-        Python-side (``planned_search`` probing :meth:`candidates`), and the
-        primary connection is pinned to its creating thread, so each worker
-        slot of a sharded maintenance batch gets one reader connection
-        wrapped in a view exposing the same ``candidates()`` surface.  The
-        underlying connections are the cached :meth:`reader_connections`
-        siblings — a maintenance batch that follows a sharded closure load
-        (or one batch following another) reuses them instead of reopening.
-        Returns None for in-memory databases, like :meth:`reader_connections`.
-        """
-        readers = self.reader_connections(count)
-        if readers is None:
-            return None
-        return [SQLiteReaderView(self, reader) for reader in readers]
-
-    def notify_statement_hooks(self, sql: str) -> None:
-        """Deliver ``sql`` to the statement hooks without executing it.
-
-        The sharded driver runs its per-shard SELECTs on reader connections
-        from worker threads; it replays the executed statements to the hooks
-        from the merge (main) thread via this method, so query-counter hooks
-        stay single-threaded and deterministic.
-        """
-        for hook in self._statement_hooks:
-            hook(sql)
-
     def close(self) -> None:
-        """Close the underlying connection (and any reader connections)."""
-        for reader in self._readers:
-            reader.close()
-        self._readers.clear()
+        """Close the underlying connection."""
         self._connection.close()
 
     def ensure_stage_table(self, width: int) -> bool:
@@ -696,10 +595,8 @@ class SQLiteDatabase(BaseDatabase):
         """Copy an existing (e.g. in-memory) database into a SQLite engine.
 
         Facts are inserted in sorted order, not the source's set-iteration
-        order: rowids double as the sharded engine's partition axis
-        (``rowid % :nshards``), so copies built in different processes must
-        assign the same rowids to the same facts or replays could not
-        reproduce shard routing (string hashes are salted per process).
+        order, so copies built in different processes assign the same rowids
+        to the same facts (string hashes are salted per process).
         """
         copy = cls(source.schema, path=path)
         for relation in source.relation_names():
@@ -719,28 +616,3 @@ class SQLiteDatabase(BaseDatabase):
     def __hash__(self) -> int:  # pragma: no cover
         raise TypeError("SQLiteDatabase instances are mutable and unhashable")
 
-
-class SQLiteReaderView:
-    """A thread-confined read-only ``candidates()`` window onto a database.
-
-    Wraps one WAL reader connection (see
-    :meth:`SQLiteDatabase.reader_views`); a sharded maintenance worker probes
-    it exactly like the database itself — same SELECT, same row-to-fact
-    decoding — while the primary connection stays untouched on the merge
-    thread.  WAL readers see the last committed state at statement start, and
-    the backend runs in autocommit mode, so every base/delta row written
-    before a shard wave is visible to every view during it.
-    """
-
-    __slots__ = ("_db", "_connection")
-
-    def __init__(self, db: SQLiteDatabase, connection: sqlite3.Connection) -> None:
-        self._db = db
-        self._connection = connection
-
-    def candidates(
-        self, relation: str, bindings: Mapping[int, Any], delta: bool = False,
-    ) -> Iterator[Fact]:
-        sql, params = self._db._candidate_query(relation, bindings, delta)
-        rows = self._connection.execute(sql, params)
-        return self._db._rows_to_facts(relation, rows)

@@ -51,10 +51,6 @@ from tests.generators import (
 SEEDS = differential_seeds(50)
 ENGINES = ("naive", "semi-naive")
 
-#: Shard counts the sharded-engine equivalence class runs at: the degenerate
-#: single partition and a genuine 4-way hash partition.
-SHARD_COUNTS = (1, 4)
-
 
 def instance_pair(seed: int):
     """One random instance materialised on both backends."""
@@ -119,17 +115,19 @@ class TestClosureEquivalence:
 
 @pytest.mark.parametrize("seed", SEEDS)
 class TestShardedEquivalence:
-    """``engine="sharded"`` against the naive in-memory oracle, both backends.
+    """The default ``auto`` engine on a multi-core machine, both backends,
+    against the naive in-memory oracle.
 
-    Hash-partitioning the frontier must be invisible: identical delta
-    fixpoints, identical assignment-signature sets, duplicate-free results
-    and the stage-style round count of the semi-naive engines — at the
-    degenerate shard count 1 and a real 4-way partition alike.
+    The class keeps its historical name: these seeds used to run the
+    hash-partitioned engine that ``auto`` picked whenever several CPUs were
+    available.  With ``os.cpu_count`` patched to 8, ``auto`` must now report
+    the single-partition semi-naive engine and stay invisible against the
+    oracle: identical delta fixpoints, identical assignment-signature sets,
+    duplicate-free results, an exactly-once hook stream and the stage-style
+    round count of the explicit semi-naive engine.
     """
 
-    def test_sharded_closure_matches_naive_oracle(self, seed):
-        from repro.datalog.context import EvalContext
-
+    def test_sharded_closure_matches_naive_oracle(self, seed, monkeypatch):
         memory, sqlite, program = instance_pair(seed)
         oracle_db = memory.clone()
         oracle = run_closure(oracle_db, program, engine="naive")
@@ -138,43 +136,32 @@ class TestShardedEquivalence:
         semi_rounds = run_closure(
             memory.clone(), program, engine="semi-naive",
         ).rounds
-        for shards in SHARD_COUNTS:
-            for backend, db in (
-                ("memory", memory.clone()),
-                ("sqlite", sqlite.clone()),
-            ):
-                note = seed_note(seed, f"sharded/{shards}/{backend}")
-                hook_seen: list = []
-                result = run_closure(
-                    db,
-                    program,
-                    engine="sharded",
-                    context=EvalContext(shards=shards, workers=1),
-                    on_assignment=hook_seen.append,
-                )
-                assert result.engine == "sharded", note
-                assert result.rounds == semi_rounds, note
-                assert set(db.all_deltas()) == oracle_deltas, note
-                signatures = [a.signature() for a in result.assignments]
-                assert len(set(signatures)) == len(signatures), note
-                assert set(signatures) == oracle_signatures, note
-                assert [a.signature() for a in hook_seen] == signatures, note
+        monkeypatch.setattr("os.cpu_count", lambda: 8)
+        for backend, db in (
+            ("memory", memory.clone()),
+            ("sqlite", sqlite.clone()),
+        ):
+            note = seed_note(seed, f"auto/8 cpus/{backend}")
+            hook_seen: list = []
+            result = run_closure(
+                db, program, engine="auto", on_assignment=hook_seen.append,
+            )
+            assert result.engine == "semi-naive", note
+            assert result.rounds == semi_rounds, note
+            assert set(db.all_deltas()) == oracle_deltas, note
+            signatures = [a.signature() for a in result.assignments]
+            assert len(set(signatures)) == len(signatures), note
+            assert set(signatures) == oracle_signatures, note
+            assert [a.signature() for a in hook_seen] == signatures, note
 
-    def test_sharded_end_semantics_matches_oracle(self, seed):
-        from repro.datalog.context import EvalContext
-
+    def test_sharded_end_semantics_matches_oracle(self, seed, monkeypatch):
         memory, sqlite, program = instance_pair(seed)
         oracle = end_semantics(memory, program, engine="naive")
-        for shards in SHARD_COUNTS:
-            for backend, db in (("memory", memory), ("sqlite", sqlite)):
-                note = seed_note(seed, f"sharded/{shards}/{backend}")
-                result = end_semantics(
-                    db,
-                    program,
-                    engine="sharded",
-                    context=EvalContext(shards=shards, workers=1),
-                )
-                assert result.deleted == oracle.deleted, note
+        monkeypatch.setattr("os.cpu_count", lambda: 8)
+        for backend, db in (("memory", memory), ("sqlite", sqlite)):
+            note = seed_note(seed, f"auto/8 cpus/{backend}")
+            result = end_semantics(db, program, engine="auto")
+            assert result.deleted == oracle.deleted, note
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -22,6 +22,7 @@ from repro.core.semantics import (
 from repro.datalog.delta import DeltaProgram
 from repro.datalog.evaluation import (
     ENGINE_CHOICES,
+    ENGINE_SEMI_NAIVE,
     derive_closure,
     resolve_engine,
     run_closure,
@@ -127,3 +128,20 @@ class TestErrorShape:
             result = end_semantics(db, program, engine=engine)
             assert result.size == 1
         validate_engine(None)
+
+
+class TestDeletedAndDefaultEngines:
+    def test_sharded_engine_is_unknown(self, db_and_program):
+        db, program = db_and_program
+        with pytest.raises(UnknownEngineError):
+            validate_engine("sharded")
+        with pytest.raises(UnknownEngineError):
+            run_closure(db.clone(), program, engine="sharded")
+
+    def test_auto_is_semi_naive_on_a_multicore_machine(
+        self, db_and_program, monkeypatch,
+    ):
+        db, program = db_and_program
+        monkeypatch.setattr("os.cpu_count", lambda: 8)
+        assert resolve_engine(db, "auto") == ENGINE_SEMI_NAIVE
+        assert run_closure(db.clone(), program).engine == ENGINE_SEMI_NAIVE

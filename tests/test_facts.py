@@ -40,6 +40,15 @@ class TestFactBehaviour:
         assert item.arity == 2
         assert item.value(1) == 2
 
+    def test_fact_pickling_round_trip(self):
+        import pickle
+
+        item = fact("R", 1, "x", tid="r1")
+        clone = pickle.loads(pickle.dumps(item))
+        assert clone == item
+        assert clone.tid == "r1"
+        assert clone.values == (1, "x")
+
     def test_with_tid(self):
         renamed = Fact("R", (1,)).with_tid("g2")
         assert renamed.tid == "g2"

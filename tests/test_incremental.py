@@ -9,10 +9,6 @@ over-delete / re-derive behaviour (cascade retraction, rescue through an
 alternate derivation, re-insertion through a fresh frontier entry), the
 maintenance counters, the point queries, and the exactly-once observer
 stream across load + batches.
-
-The CI matrix also drives this file under ``REPRO_SHARDS=4``: the initial
-load then resolves to the sharded engine while maintenance runs the
-incremental drivers — the differential must hold regardless.
 """
 
 from __future__ import annotations
@@ -261,115 +257,3 @@ class TestMaintenanceBehaviour:
         # The closure is restored: live assignments equal the original load.
         live = {a.signature() for a in service.assignments()}
         assert live == set(load_sigs)
-
-
-# ---------------------------------------------------------------------------
-# Sharded maintenance determinism
-# ---------------------------------------------------------------------------
-
-SHARD_CONFIGS = [
-    {"shards": 2, "workers": 2},
-    {"shards": 3, "workers": 2},
-    {"shards": 5, "workers": 3},
-]
-
-
-def scripted_batches():
-    """A fixed insert/delete script exercising discovery, propagation and
-    DRed (cascades, rescues, re-insertions) — shared by every determinism
-    run so traces are comparable byte for byte."""
-    rng = random.Random(23)
-    batches = []
-    for step in range(8):
-        inserts, deletes = [], []
-        for _ in range(rng.randint(1, 3)):
-            deletes.append(fact("E", rng.randint(0, 8), rng.randint(0, 8)))
-        for _ in range(rng.randint(1, 3)):
-            inserts.append(fact("E", rng.randint(0, 8), rng.randint(0, 8)))
-            if rng.random() < 0.5:
-                inserts.append(fact("N", rng.randint(0, 8)))
-        if step == 3:
-            deletes.append(fact("S", 0))
-        if step == 5:
-            inserts.append(fact("S", 0))
-        batches.append((inserts, deletes))
-    return batches
-
-
-def run_maintenance_trace(backend, tmp_path, tag, **context_kwargs):
-    """Load + scripted batches under one context config; return every
-    observable the byte-identical contract covers."""
-    schema, program = cascade_schema(), cascade_program()
-    db = make_db(backend, schema, cascade_facts(), tmp_path, tag)
-    context = EvalContext(**context_kwargs)
-    stream = []
-    context.add_observer(stream.append)
-    # Pin the load engine: ``shards=`` would otherwise switch the *load* to
-    # the sharded closure, whose record order legitimately differs from the
-    # serial engines.  The contract under test is maintenance-only.
-    service = RepairService(db, program, engine="semi-naive", context=context)
-    load_count = len(stream)
-    for inserts, deletes in scripted_batches():
-        service.apply(inserts=inserts, deletes=deletes)
-    trace = {
-        "active": labelled_active(db, schema),
-        "deltas": labelled_deltas(db),
-        "stream": [a.signature() for a in stream[load_count:]],
-        "store": [a.signature() for a in service.assignments()],
-    }
-    if backend == "sqlite-file":
-        trace["persisted"] = [
-            db.execute(
-                f"SELECT * FROM {table} ORDER BY 1, 2"
-            ).fetchall()
-            for table in (
-                "_repro_assign",
-                "_repro_assign_base",
-                "_repro_assign_delta",
-                "_repro_assign_support",
-            )
-        ]
-    stats = context.stats
-    shard_jobs = (
-        stats.maint_discovery_shards
-        + stats.maint_propagate_shards
-        + stats.maint_dred_shards
-    )
-    if isinstance(db, SQLiteDatabase):
-        db.close()
-    return trace, shard_jobs
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-class TestShardedMaintenanceDeterminism:
-    def test_sharded_runs_byte_identical_to_serial(self, backend, tmp_path):
-        serial, serial_jobs = run_maintenance_trace(
-            backend, tmp_path, "det_serial", shard_maintenance=False,
-        )
-        assert serial_jobs == 0
-        # shards=1 opts in but collapses to the serial drivers.
-        one, one_jobs = run_maintenance_trace(
-            backend, tmp_path, "det_one", shards=1, shard_maintenance=True,
-        )
-        assert one_jobs == 0
-        assert one == serial
-        for config in SHARD_CONFIGS:
-            tag = "det_s{shards}w{workers}".format(**config)
-            sharded, jobs = run_maintenance_trace(
-                backend, tmp_path, tag, shard_maintenance=True, **config,
-            )
-            assert jobs > 0, config
-            for key in serial:
-                assert sharded[key] == serial[key], (config, key)
-
-    def test_env_knob_opts_maintenance_in(self, backend, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARDS", "3")
-        monkeypatch.setenv("REPRO_SHARD_MAINTENANCE", "1")
-        env_trace, env_jobs = run_maintenance_trace(backend, tmp_path, "det_env")
-        assert env_jobs > 0
-        monkeypatch.delenv("REPRO_SHARDS")
-        monkeypatch.delenv("REPRO_SHARD_MAINTENANCE")
-        serial, _ = run_maintenance_trace(
-            backend, tmp_path, "det_env_serial", shard_maintenance=False,
-        )
-        assert env_trace == serial

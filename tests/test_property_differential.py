@@ -3,12 +3,9 @@
 Every instance drawn from :func:`tests.generators.random_torture_spec` is
 checked across the full evaluation matrix
 
-    {in-memory, SQLite} × {naive, semi-naive, sharded@{1,4}} ×
-    {end, stage, step, independent}
+    {in-memory, SQLite} × {naive, semi-naive} × {end, stage, step, independent}
 
-against a single oracle: the **naive engine on the in-memory backend** (the
-sharded engine runs at shard counts 1 and 4 in the closure layer and at 4 in
-the semantics layer).  The
+against a single oracle: the **naive engine on the in-memory backend**.  The
 closure layer is checked too (delta fixpoints, assignment-signature sets and
 exactly-once ``on_assignment`` delivery).  Any divergence is shrunk to a
 1-minimal repro (:func:`tests.generators.shrink_spec`) before failing, and the
@@ -43,7 +40,6 @@ from repro.core.semantics import (
     step_semantics,
 )
 from repro.core.stability import is_stabilizing_set
-from repro.datalog.context import EvalContext
 from repro.datalog.evaluation import run_closure
 from repro.storage.sqlite_backend import SQLiteDatabase
 
@@ -55,21 +51,6 @@ INSTANCE_COUNT = 100 * SCALE
 
 ENGINES = ("naive", "semi-naive")
 MAX_ROUNDS = 200
-
-#: Closure-layer engine runs: ``(label, engine, shards)``.  The sharded
-#: engine is checked at the degenerate single partition and a 4-way hash
-#: partition; ``shards=None`` means no context knob (plain engines).
-CLOSURE_RUNS = (
-    ("naive", "naive", None),
-    ("semi-naive", "semi-naive", None),
-    ("sharded/1", "sharded", 1),
-    ("sharded/4", "sharded", 4),
-)
-
-
-def _run_context(shards):
-    return None if shards is None else EvalContext(shards=shards, workers=1)
-
 
 def _spec_for(index: int) -> InstanceSpec:
     rng = random.Random(SEED * 100003 + index)
@@ -87,7 +68,7 @@ def divergences(spec: InstanceSpec) -> List[str]:
     oracle_deltas = set(oracle_db.all_deltas())
     oracle_signatures = {a.signature() for a in oracle_closure.assignments}
     for backend in ("memory", "sqlite"):
-        for run_label, engine, shards in CLOSURE_RUNS:
+        for engine in ENGINES:
             if backend == "memory" and engine == "naive":
                 continue  # that is the oracle itself
             db = (
@@ -102,9 +83,8 @@ def divergences(spec: InstanceSpec) -> List[str]:
                 on_assignment=hook_seen.append,
                 engine=engine,
                 max_rounds=MAX_ROUNDS,
-                context=_run_context(shards),
             )
-            label = f"closure[{backend}/{run_label}]"
+            label = f"closure[{backend}/{engine}]"
             if set(db.all_deltas()) != oracle_deltas:
                 problems.append(f"{label}: delta fixpoint differs from oracle")
             signatures = [a.signature() for a in closure.assignments]
@@ -122,25 +102,16 @@ def divergences(spec: InstanceSpec) -> List[str]:
         "step": step_semantics(memory, program, engine="naive"),
         "independent": independent_semantics(memory, program, engine="naive"),
     }
-    semantics_runs = (
-        ("naive", "naive", None),
-        ("semi-naive", "semi-naive", None),
-        ("sharded/4", "sharded", 4),
-    )
     for backend in ("memory", "sqlite"):
         db = (SQLiteDatabase.from_database(memory) if backend == "sqlite" else memory)
-        for run_label, engine, shards in semantics_runs:
+        for engine in ENGINES:
             if backend == "memory" and engine == "naive":
                 continue
-            label = f"[{backend}/{run_label}]"
-            end = end_semantics(
-                db, program, engine=engine, context=_run_context(shards),
-            )
+            label = f"[{backend}/{engine}]"
+            end = end_semantics(db, program, engine=engine)
             if end.deleted != oracle_results["end"].deleted:
                 problems.append(f"end{label}: deleted set differs from oracle")
-            stage = stage_semantics(
-                db, program, engine=engine, context=_run_context(shards),
-            )
+            stage = stage_semantics(db, program, engine=engine)
             if stage.deleted != oracle_results["stage"].deleted:
                 problems.append(f"stage{label}: deleted set differs from oracle")
             if stage.rounds != oracle_results["stage"].rounds:
@@ -148,14 +119,10 @@ def divergences(spec: InstanceSpec) -> List[str]:
                     f"stage{label}: {stage.rounds} stages, oracle "
                     f"{oracle_results['stage'].rounds}",
                 )
-            step = step_semantics(
-                db, program, engine=engine, context=_run_context(shards),
-            )
+            step = step_semantics(db, program, engine=engine)
             if step.deleted != oracle_results["step"].deleted:
                 problems.append(f"step{label}: deleted set differs from oracle")
-            independent = independent_semantics(
-                db, program, engine=engine, context=_run_context(shards),
-            )
+            independent = independent_semantics(db, program, engine=engine)
             if independent.size != oracle_results["independent"].size:
                 problems.append(
                     f"independent{label}: size {independent.size}, oracle "

@@ -5,6 +5,8 @@ from repro.provenance.graph import build_provenance_graph
 from repro.storage.database import Database
 from repro.storage.facts import fact
 from repro.storage.schema import Schema
+from repro.workloads.mas import generate_mas
+from repro.workloads.programs_mas import mas_program
 
 from tests.conftest import PAPER_PROGRAM_TEXT, make_paper_database
 
@@ -58,6 +60,14 @@ class TestPaperExampleGraph:
         graph = paper_graph()
         assert graph.node_count() >= len(graph.derived)
         assert graph.edge_count() > 0
+
+    def test_exact_graph_counts(self):
+        # Pinned to the counts of the earlier networkx.DiGraph representation.
+        graph = paper_graph()
+        assert (graph.node_count(), graph.edge_count()) == (18, 23)
+        dataset = generate_mas(scale=0.5, seed=3)
+        graph = build_provenance_graph(dataset.fresh_db(), mas_program(dataset, "20"))
+        assert (graph.node_count(), graph.edge_count()) == (640, 662)
 
     def test_describe_lists_layers(self):
         text = paper_graph().describe()

@@ -505,66 +505,3 @@ def test_poisoned_file_store_refuses_warm_restart(tmp_path):
     with pytest.raises(EvaluationError, match="warm-restart"):
         RepairService(db2, program)
     db2.close()
-
-
-def test_concurrent_services_share_pool_without_corruption(tmp_path):
-    """Two sharded-maintenance services at *different* ``workers=`` counts
-    run batches concurrently: the shared worker pool's lease accounting must
-    survive the mid-run pool growth, and each service's maintained state must
-    still equal a from-scratch fixpoint."""
-    from repro.datalog import sharded
-
-    def drive(backend, shards, workers, tag, errors, barrier):
-        try:
-            schema, program = cascade_schema(), cascade_program()
-            # SQLite primary connections are thread-bound: build the database
-            # inside the thread that maintains and checks it.
-            db = make_db(backend, schema, cascade_facts(), tmp_path, tag)
-            context = EvalContext(
-                shards=shards, workers=workers, shard_maintenance=True,
-            )
-            service = RepairService(
-                db, program, engine="semi-naive", context=context,
-            )
-            rng = random.Random(41 + shards)
-            barrier.wait(timeout=30)
-            for step in range(6):
-                inserts = [
-                    fact("E", rng.randint(0, 8), rng.randint(0, 8))
-                    for _ in range(rng.randint(1, 3))
-                ]
-                deletes = [
-                    fact("E", rng.randint(0, 8), rng.randint(0, 8))
-                    for _ in range(rng.randint(1, 3))
-                ]
-                service.apply(inserts=inserts, deletes=deletes)
-                assert_matches_scratch(
-                    service, schema, program, backend, tmp_path, f"{tag}{step}",
-                )
-            if isinstance(db, SQLiteDatabase):
-                db.close()
-        except BaseException as error:  # noqa: BLE001 - surfaced in main thread
-            errors.append((tag, error))
-
-    import threading
-
-    errors = []
-    barrier = threading.Barrier(2)
-    threads = [
-        threading.Thread(
-            target=drive, args=("memory", 3, 2, "conc_a", errors, barrier)
-        ),
-        threading.Thread(
-            target=drive, args=("sqlite-file", 5, 3, "conc_b", errors, barrier)
-        ),
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=120)
-        assert not thread.is_alive()
-    assert not errors, errors
-    # Every wave returned its lease: no pool is left leased once both
-    # services are idle, and the live pool grew to the larger workers count.
-    with sharded._pool_lock:
-        assert not sharded._pool_leases

@@ -10,7 +10,9 @@ runs the install directly (the fast path).  These tests pin down:
 * the no-observer fast path: same fixpoint, zero assignment rows, zero
   ``assign-select``/``stage`` statements (verified by tag-counting hooks);
 * empty-frontier rounds behave identically on both paths;
-* the :class:`~repro.datalog.context.QueryStats` single-pass accounting.
+* the :class:`~repro.datalog.context.QueryStats` single-pass accounting;
+* the bounded-chunk observer replay of staged rows
+  (:data:`~repro.datalog.sql_seminaive.STAGE_REPLAY_CHUNK`).
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from typing import Dict, List
 import pytest
 
 from repro.datalog import DeltaProgram, EvalContext, run_closure
+from repro.datalog import sql_seminaive
 from repro.datalog.sql_compiler import (
     TAG_ASSIGN_SELECT,
     TAG_INSTALL_DIRECT,
@@ -30,6 +33,7 @@ from repro.datalog.sql_compiler import (
     compile_frontier_rule,
     delta_copy_sql,
 )
+from repro.storage.database import Database
 from repro.storage.facts import fact
 from repro.storage.schema import RelationSchema, Schema
 from repro.storage.sqlite_backend import SQLiteDatabase
@@ -397,3 +401,69 @@ class TestSinglePassAccounting:
         assert Counter(assignment_key(a) for a in observed) == Counter(
             assignment_key(a) for a in staged
         )
+
+
+class TestBatchedObserverReplay:
+    """Staged rows reach observers in bounded chunks, order preserved."""
+
+    def _wide_instance(self):
+        # One variant staging 20 rows in a single round, so a small chunk
+        # size forces several batches for one staged install.
+        schema = Schema.from_arities({"R": 2, "S": 1})
+        db = Database.from_dicts(
+            schema,
+            {"R": [(i, i % 5) for i in range(20)], "S": [(i,) for i in range(5)]},
+        )
+        program = DeltaProgram.from_text("delta R(x, y) :- R(x, y), S(y).")
+        return db, program
+
+    def _deep_cascade(self):
+        # A three-relation cascade deep enough for several frontier rounds.
+        schema = Schema.from_relations(
+            [
+                RelationSchema.of("E", "x:int", "y:int"),
+                RelationSchema.of("N", "x:int"),
+            ],
+        )
+        edges = [(i, i + 1) for i in range(12)] + [(i, i + 2) for i in range(0, 10, 2)]
+        db = Database.from_dicts(
+            schema, {"E": edges, "N": [(i,) for i in range(14)]},
+        )
+        program = DeltaProgram.from_text(
+            """
+            delta N(x) :- N(x), x = 0.
+            delta E(x, y) :- E(x, y), delta N(x).
+            delta N(y) :- N(y), E(x, y), delta E(x, y).
+            """,
+        )
+        return db, program
+
+    def _staged_stream(self, base, program):
+        db = SQLiteDatabase.from_database(base)
+        ctx = EvalContext()
+        delivered = []
+        ctx.add_observer(delivered.append)
+        result = run_closure(db, program, engine="semi-naive", context=ctx)
+        db.close()
+        return delivered, result, ctx
+
+    def test_chunked_replay_preserves_order_and_multiset(self, monkeypatch):
+        base, program = self._wide_instance()
+        reference, ref_result, ref_ctx = self._staged_stream(base, program)
+        assert len(reference) == 20
+        monkeypatch.setattr(sql_seminaive, "STAGE_REPLAY_CHUNK", 3)
+        chunked, result, ctx = self._staged_stream(base, program)
+        # 20 rows in chunks of 3 → 7 batches where the default chunk took 1.
+        assert ctx.stats.replay_batches > ref_ctx.stats.replay_batches > 0
+        assert [a.signature() for a in chunked] == [a.signature() for a in reference]
+        assert [a.signature() for a in result.assignments] == [
+            a.signature() for a in ref_result.assignments
+        ]
+
+    def test_chunked_replay_in_deep_cascade(self, monkeypatch):
+        base, program = self._deep_cascade()
+        reference, _, _ = self._staged_stream(base, program)
+        monkeypatch.setattr(sql_seminaive, "STAGE_REPLAY_CHUNK", 2)
+        chunked, _, ctx = self._staged_stream(base, program)
+        assert ctx.stats.replay_batches > 0
+        assert [a.signature() for a in chunked] == [a.signature() for a in reference]

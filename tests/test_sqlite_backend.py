@@ -182,9 +182,9 @@ class TestFrontierTables:
 class TestWALMode:
     """File-backed databases run in WAL; in-memory ones keep a MEMORY journal.
 
-    A MEMORY rollback journal is unsafe for concurrent readers and can
-    corrupt the file on a crash mid-write; WAL is both crash-safe and the
-    prerequisite for the sharded engine's read-only sibling connections.
+    A MEMORY rollback journal can corrupt the file on a crash mid-write;
+    WAL with ``synchronous = NORMAL`` is crash-safe and only syncs at
+    checkpoints.
     """
 
     def _journal_mode(self, db: SQLiteDatabase) -> str:
@@ -193,13 +193,12 @@ class TestWALMode:
     def test_memory_database_keeps_memory_journal(self, schema):
         db = SQLiteDatabase(schema)
         assert self._journal_mode(db) == "memory"
-        assert not db.supports_readers()
-        assert db.reader_connections(2) is None
 
     def test_file_database_uses_wal(self, schema, tmp_path):
         db = SQLiteDatabase(schema, path=str(tmp_path / "wal.db"))
         assert self._journal_mode(db) == "wal"
-        assert db.supports_readers()
+        # 1 = NORMAL: commits sync at checkpoints, not on every statement.
+        assert db.execute("PRAGMA synchronous").fetchone()[0] == 1
         db.close()
 
     def test_wal_survives_reopen_and_resumes_fixpoint(self, schema, tmp_path):
@@ -220,36 +219,6 @@ class TestWALMode:
         run_closure(reopened, program, engine="semi-naive")
         assert reopened.has_delta(fact("S", 1))
         reopened.close()
-
-    def test_reader_connections_are_read_only_and_see_commits(
-        self, schema, tmp_path,
-    ):
-        import sqlite3
-
-        db = SQLiteDatabase(schema, path=str(tmp_path / "readers.db"))
-        db.insert(fact("R", 1, "a"))
-        readers = db.reader_connections(2)
-        assert len(readers) == 2
-        # Lazily cached: asking again returns the same connections.
-        assert db.reader_connections(2) == readers
-        for reader in readers:
-            rows = reader.execute("SELECT COUNT(*) FROM r_R").fetchone()
-            assert rows[0] == 1
-            with pytest.raises(sqlite3.OperationalError):
-                reader.execute("INSERT INTO r_R VALUES (9, 'z', NULL)")
-        # Writes committed by the primary are visible to later reader reads.
-        db.insert(fact("R", 2, "b"))
-        assert readers[0].execute("SELECT COUNT(*) FROM r_R").fetchone()[0] == 2
-        db.close()
-
-    def test_close_closes_readers(self, schema, tmp_path):
-        import sqlite3
-
-        db = SQLiteDatabase(schema, path=str(tmp_path / "close.db"))
-        reader = db.reader_connections(1)[0]
-        db.close()
-        with pytest.raises(sqlite3.ProgrammingError):
-            reader.execute("SELECT 1")
 
     def test_clone_of_file_database_is_in_memory(self, schema, tmp_path):
         # clone() backs up into a fresh in-memory engine regardless of the

@@ -8,7 +8,7 @@ Covers the four layers the wcoj feature spans:
 * the per-position tries of :class:`repro.storage.indexes.RelationIndex`
   (lazy build, incremental maintenance, interior-node pruning);
 * the in-memory generic-join driver against the naive oracle (full and
-  seeded enumeration, stats counters, sharded determinism);
+  seeded enumeration, stats counters);
 * the SQLite lowering (``CROSS JOIN``-pinned ordered joins, the
   ``/* repro:wcoj */`` statement tag, covering-index DDL idempotence) and
   the benchmark's baseline gate (loud missing-column warning, absolute
@@ -259,26 +259,6 @@ class TestDriverOracle:
         assert ctx.stats.wcoj_rules == 0
         assert ctx.stats.wcoj_intersections == 0
         assert ctx.stats.width_estimates > 0
-
-    @pytest.mark.parametrize("shards", [1, 4])
-    def test_sharded_wcoj_is_deterministic(self, cyclic, monkeypatch, shards):
-        monkeypatch.setenv(PLAN_ENV, PLAN_WCOJ)
-        program = mutual_recursion_program(cyclic.hub)
-        oracle_db = cyclic.fresh_db()
-        run_closure(oracle_db, program, engine="naive")
-        oracle_deltas = set(oracle_db.all_deltas())
-        streams = []
-        for _ in range(2):
-            db = cyclic.fresh_db()
-            result = run_closure(
-                db,
-                program,
-                engine="sharded",
-                context=EvalContext(shards=shards, workers=1),
-            )
-            assert set(db.all_deltas()) == oracle_deltas
-            streams.append([a.signature() for a in result.assignments])
-        assert streams[0] == streams[1]
 
 
 # ---------------------------------------------------------------------------
