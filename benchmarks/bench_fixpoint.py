@@ -21,12 +21,8 @@ For the semi-naive SQL driver two timings are recorded per row: the *staged*
 path (assignments collected — comparable to the naive engine, which always
 materialises assignments) and the *fast* path (``collect_assignments=False``,
 install-only — what closure-level consumers such as end semantics now run by
-default).  An end-to-end axis times figure-6-style end-semantics runs, and a
-``compare()`` axis times all four semantics through one
-:class:`~repro.core.repair.RepairEngine` sharing a single
-:class:`~repro.datalog.context.EvalContext` against four cold engines.
-Results are written to ``BENCH_fixpoint.json`` at the repository root so the
-perf trajectory is tracked across PRs.
+default).  Results are written to ``BENCH_fixpoint.json`` at the repository
+root so the perf trajectory is tracked across PRs.
 
 Run standalone::
 
@@ -58,12 +54,10 @@ from typing import Dict, List
 
 import os
 
-from repro.core.repair import RepairEngine
 from repro.service import RepairService
 from repro.storage.database import Database
 from repro.storage.facts import Fact, fact
 from repro.storage.schema import RelationSchema, Schema
-from repro.core.semantics import Semantics, end_semantics
 from repro.datalog.context import EvalContext
 from repro.datalog.delta import DeltaProgram
 from repro.datalog.evaluation import run_closure
@@ -86,12 +80,6 @@ CLOSURE_PROGRAMS = (
     ("tpch", "T-4"),
     ("tpch", "T-6"),
 )
-
-#: Figure-6c style end-semantics programs (the growing cascade chain).
-END_TO_END_PROGRAMS = ("16", "17", "18", "19", "20")
-
-#: Program used by the compare() axis (deep cascade, all four semantics).
-COMPARE_PROGRAM = "18"
 
 #: Maintenance axis configuration: the acceptance workload (deep-cascade
 #: mas/20) under small alternating delete / re-insert batches.
@@ -127,17 +115,10 @@ BENCH_AXES = (
     "sqlite_closure",
     "sqlite_file_closure",
     "wcoj",
-    "end_to_end",
-    "compare",
     "maintenance",
     "counting",
     "single_pass",
 )
-
-#: PR 2's recorded semi-naive seconds on the SQLite mas/20@8.0 closure
-#: (BENCH_fixpoint.json at commit 0d28ef4) — the double-pass baseline the
-#: single-pass acceptance criterion is measured against.
-PR2_SQLITE_SEMI_SECONDS = 0.054607
 
 
 def _dataset(workload: str, scale: float):
@@ -170,20 +151,6 @@ def _backend_factory(dataset, backend: str, workdir: Path):
         return SQLiteDatabase.from_database(dataset.db, path=str(path))
 
     return fresh
-
-
-def _time_closure(factory, program, engine: str, repetitions: int, **options):
-    """Best-of-N wall clock for one closure run.
-
-    Returns ``(seconds, result, deltas)`` with ``deltas`` the final delta
-    extent of the last repetition — the differential evidence for paths that
-    do not materialise assignments.  Databases are closed after use so the
-    file-backed axis never leaks handles into the temp directory cleanup.
-    """
-    timings = _interleaved_closures(
-        factory, program, repetitions, [("only", engine, options)],
-    )
-    return timings["only"]
 
 
 def _interleaved_closures(factory, program, repetitions: int, runs):
@@ -305,12 +272,13 @@ def _forced_plan(kind: str | None):
 def bench_wcoj(scales: List[float], repetitions: int) -> List[dict]:
     """Binary vs worst-case-optimal join plans on the cyclic workloads.
 
-    In-memory backend, semi-naive engine, install-only runs: the same closure
-    is timed once with every rule forced onto the binary planned search and
-    once forced onto the generic-join path (``REPRO_FORCE_PLAN``), so
-    ``wcoj_speedup`` isolates the join-evaluation strategy.  Each row also
-    records the planner's **unforced** classification (``auto_plan_kinds``) —
-    asserted here to route every cyclic program to wcoj — plus the wcoj
+    In-memory backend, semi-naive engine, install-only runs: every
+    repetition times the same closure with every rule forced onto the binary
+    planned search and then forced onto the generic-join path
+    (``REPRO_FORCE_PLAN``), so ``wcoj_speedup`` (best binary over best wcoj)
+    isolates the join-evaluation strategy.  Each row also records the
+    planner's **unforced** classification (``auto_plan_kinds``) — asserted
+    here to route every cyclic program to wcoj — plus the wcoj
     :class:`~repro.datalog.context.QueryStats` counters, and the smallest
     scale doubles as a differential check of both plans against the naive
     oracle.
@@ -339,15 +307,16 @@ def bench_wcoj(scales: List[float], repetitions: int) -> List[dict]:
                             f"cyclic/{name}@{scale}: forced {kind} plan "
                             "diverged from the naive oracle",
                         )
-            timings: Dict[str, float] = {}
+            # Each repetition times binary and then wcoj, like
+            # _interleaved_closures, so host drift during the measurement
+            # hits both sides of the ratio equally; the per-kind best is kept.
+            timings = {PLAN_BINARY: float("inf"), PLAN_WCOJ: float("inf")}
             run_stats: Dict[str, object] = {}
-            for kind in (PLAN_BINARY, PLAN_WCOJ):
-                best = float("inf")
-                context = None
-                with _forced_plan(kind):
-                    for _ in range(repetitions):
-                        context = EvalContext()
-                        working = dataset.fresh_db()
+            for _ in range(repetitions):
+                for kind in timings:
+                    context = EvalContext()
+                    working = dataset.fresh_db()
+                    with _forced_plan(kind):
                         start = time.perf_counter()
                         run_closure(
                             working,
@@ -356,9 +325,9 @@ def bench_wcoj(scales: List[float], repetitions: int) -> List[dict]:
                             context=context,
                             collect_assignments=False,
                         )
-                        best = min(best, time.perf_counter() - start)
-                timings[kind] = best
-                run_stats[kind] = context.stats
+                        elapsed = time.perf_counter() - start
+                    timings[kind] = min(timings[kind], elapsed)
+                    run_stats[kind] = context.stats
             with _forced_plan(None):
                 planner = EvalContext().planner(dataset.db)
                 auto_kinds = sorted(
@@ -388,92 +357,6 @@ def bench_wcoj(scales: List[float], repetitions: int) -> List[dict]:
                     "width_estimates": wcoj_stats.width_estimates,
                 },
             )
-    return rows
-
-
-def bench_end_to_end(scale: float, repetitions: int) -> List[dict]:
-    """Figure-6-style end-semantics runs (full repair, not just the closure)."""
-    rows: List[dict] = []
-    dataset = generate_mas(scale=scale, seed=SEED)
-    for program_id in END_TO_END_PROGRAMS:
-        program = mas_programs(dataset, (program_id,))[program_id]
-        timings = {}
-        results = {}
-        for engine in ("naive", "semi-naive"):
-            best = float("inf")
-            for _ in range(repetitions):
-                start = time.perf_counter()
-                results[engine] = end_semantics(dataset.db, program, engine=engine)
-                best = min(best, time.perf_counter() - start)
-            timings[engine] = best
-        if results["naive"].deleted != results["semi-naive"].deleted:
-            raise AssertionError(f"end semantics disagree on program {program_id}")
-        rows.append(
-            {
-                "workload": "mas",
-                "program": program_id,
-                "scale": scale,
-                "deleted": results["naive"].size,
-                "naive_seconds": round(timings["naive"], 6),
-                "semi_naive_seconds": round(timings["semi-naive"], 6),
-                "speedup": round(
-                    timings["naive"] / max(timings["semi-naive"], 1e-9), 3
-                ),
-            },
-        )
-    return rows
-
-
-def bench_compare(scale: float, repetitions: int) -> List[dict]:
-    """RepairEngine.compare(): one shared EvalContext vs four cold engines.
-
-    ``shared`` runs all four semantics through a single engine (plans and
-    compiled variants built once); ``cold`` creates a fresh engine — hence a
-    fresh context — per semantics, the pre-sharing behaviour.
-    """
-    rows: List[dict] = []
-    dataset = generate_mas(scale=scale, seed=SEED)
-    program = mas_programs(dataset, (COMPARE_PROGRAM,))[COMPARE_PROGRAM]
-    for backend in ("memory", "sqlite"):
-        db = (
-            SQLiteDatabase.from_database(dataset.db)
-            if backend == "sqlite"
-            else dataset.db
-        )
-        shared_best = float("inf")
-        for _ in range(repetitions):
-            engine = RepairEngine(db, program)
-            start = time.perf_counter()
-            shared_results = engine.repair_all()
-            shared_best = min(shared_best, time.perf_counter() - start)
-        cold_best = float("inf")
-        for _ in range(repetitions):
-            # Engines (and their fresh contexts) are constructed outside the
-            # timed region, so the cold/shared delta measures only the plan
-            # and compiled-variant reuse, not validation overhead.
-            cold_engines = {member: RepairEngine(db, program) for member in Semantics}
-            start = time.perf_counter()
-            cold_results = {
-                member: cold_engines[member].repair(member) for member in Semantics
-            }
-            cold_best = min(cold_best, time.perf_counter() - start)
-        for member in Semantics:
-            if shared_results[member].deleted != cold_results[member].deleted:
-                raise AssertionError(
-                    f"compare axis: {member.value} disagrees between shared "
-                    f"and cold contexts on {backend}",
-                )
-        rows.append(
-            {
-                "backend": backend,
-                "workload": "mas",
-                "program": COMPARE_PROGRAM,
-                "scale": scale,
-                "shared_seconds": round(shared_best, 6),
-                "cold_seconds": round(cold_best, 6),
-                "speedup": round(cold_best / max(shared_best, 1e-9), 3),
-            },
-        )
     return rows
 
 
@@ -942,8 +825,6 @@ def run_benchmark(smoke: bool = False, axes=None) -> dict:
     if smoke:
         scales = {"mas": [1.0], "tpch": [1.0]}
         file_scales = {"mas": [1.0], "tpch": [1.0]}
-        end_scale = 1.0
-        compare_scale = 1.0
         maintenance_scale = 1.0
         # One cyclic scale, chosen well past the crossover where the binary
         # plan's two-path blowup dominates (small scales sit too close to it
@@ -952,8 +833,6 @@ def run_benchmark(smoke: bool = False, axes=None) -> dict:
     else:
         scales = {"mas": [1.0, 2.0, 4.0, 8.0], "tpch": [1.0, 2.0, 4.0]}
         file_scales = {"mas": [1.0, 4.0, 8.0], "tpch": [1.0, 4.0]}
-        end_scale = 4.0
-        compare_scale = 2.0
         maintenance_scale = 2.0
         wcoj_scales = [1.0, 2.0, 3.0, 4.0]
     report: dict = {
@@ -986,10 +865,6 @@ def run_benchmark(smoke: bool = False, axes=None) -> dict:
             )
     if "wcoj" in active:
         report["wcoj"] = bench_wcoj(wcoj_scales, repetitions)
-    if "end_to_end" in active:
-        report["end_to_end"] = bench_end_to_end(end_scale, repetitions)
-    if "compare" in active:
-        report["compare"] = bench_compare(compare_scale, repetitions)
     if "maintenance" in active:
         report["maintenance"] = bench_maintenance(maintenance_scale, repetitions)
     if "counting" in active:
@@ -1033,21 +908,6 @@ def _summarise(report: dict) -> dict:
             sqlite_min_closure_speedup=min(
                 row["speedup"] for row in sqlite_rows
             ),
-            # The acceptance ratio: single-pass semi-naive (both paths)
-            # against PR 2's recorded double-pass semi-naive seconds on the
-            # same workload.  Only meaningful for the full (non-smoke) run,
-            # which measures the same mas/20@8.0 configuration.
-            pr2_sqlite_semi_naive_seconds=PR2_SQLITE_SEMI_SECONDS,
-            sqlite_staged_vs_pr2_semi=round(
-                PR2_SQLITE_SEMI_SECONDS
-                / max(sqlite_largest["semi_naive_seconds"], 1e-9),
-                3,
-            ),
-            sqlite_fast_vs_pr2_semi=round(
-                PR2_SQLITE_SEMI_SECONDS
-                / max(sqlite_largest["semi_naive_fast_seconds"], 1e-9),
-                3,
-            ),
         )
     file_rows = report.get("sqlite_file_closure")
     if file_rows:
@@ -1059,16 +919,6 @@ def _summarise(report: dict) -> dict:
                 "fast_speedup"
             ],
         )
-    end_rows = report.get("end_to_end")
-    if end_rows:
-        summary["end_semantics_geomean_speedup"] = round(
-            _geomean([row["speedup"] for row in end_rows]), 3,
-        )
-    compare_rows = report.get("compare")
-    if compare_rows:
-        summary["compare_shared_vs_cold"] = {
-            row["backend"]: row["speedup"] for row in compare_rows
-        }
     maintenance_rows = report.get("maintenance")
     if maintenance_rows:
         # Incremental maintenance (RepairService) vs recompute-per-batch
@@ -1116,13 +966,6 @@ def _summarise(report: dict) -> dict:
     return summary
 
 
-def _geomean(values: List[float]) -> float:
-    product = 1.0
-    for value in values:
-        product *= value
-    return product ** (1.0 / len(values)) if values else 0.0
-
-
 def _render(report: dict) -> str:
     lines = []
     meta = report.get("meta", {})
@@ -1167,24 +1010,6 @@ def _render(report: dict) -> str:
             f"intersections={row['wcoj_intersections']}, "
             f"widths={row['width_estimates']})",
         )
-    if "end_to_end" in report:
-        lines.append("end-to-end end semantics (figure-6c style):")
-    for row in report.get("end_to_end", []):
-        lines.append(
-            f"  mas/{row['program']:<4} scale={row['scale']:<4} "
-            f"naive={row['naive_seconds']:.4f}s semi={row['semi_naive_seconds']:.4f}s "
-            f"speedup={row['speedup']:.2f}x",
-        )
-    if "compare" in report:
-        lines.append(
-            "compare() — four semantics, shared context vs cold engines:",
-        )
-    for row in report.get("compare", []):
-        lines.append(
-            f"  {row['backend']:>6} mas/{row['program']} scale={row['scale']:<4} "
-            f"shared={row['shared_seconds']:.4f}s cold={row['cold_seconds']:.4f}s "
-            f"speedup={row['speedup']:.2f}x",
-        )
     if "maintenance" in report:
         lines.append(
             "maintenance (RepairService batches vs from-scratch recompute):",
@@ -1228,11 +1053,8 @@ def _render(report: dict) -> str:
         f"{summary['largest_program_speedup']:.2f}x, sqlite largest="
         f"{summary['sqlite_largest_program']} "
         f"{summary['sqlite_largest_program_speedup']:.2f}x "
-        f"(fast {summary['sqlite_largest_program_fast_speedup']:.2f}x, "
-        f"vs PR2 semi: staged {summary['sqlite_staged_vs_pr2_semi']:.2f}x / "
-        f"fast {summary['sqlite_fast_vs_pr2_semi']:.2f}x), file-backed "
-        f"{summary['sqlite_file_largest_program_speedup']:.2f}x, "
-        f"end-semantics geomean {summary['end_semantics_geomean_speedup']:.2f}x, "
+        f"(fast {summary['sqlite_largest_program_fast_speedup']:.2f}x), "
+        f"file-backed {summary['sqlite_file_largest_program_speedup']:.2f}x, "
         f"wcoj min gated {summary['wcoj_min_gated_speedup']:.2f}x@"
         f"{summary['wcoj_largest_scale']}",
     )

@@ -115,11 +115,9 @@ class TriggerEngine:
         ``context`` (an :class:`~repro.datalog.context.EvalContext`) lets the
         per-event probe plans be shared with other runs — e.g. repeated
         cascades of a trigger-comparison experiment — and subscribes the
-        context's observers to the cascade *as it runs*: candidate observers
-        (``context.add_candidate_observer``) see every fact a probe join
-        iterates, and assignment observers (``context.add_observer``) receive
-        each probe match the moment a trigger fires on it, mid-cascade rather
-        than from the post-run report.
+        context's assignment observers (``context.add_observer``) to the
+        cascade *as it runs*: each receives a probe match the moment a trigger
+        fires on it, mid-cascade rather than from the post-run report.
         """
         watch = Stopwatch()
         watch.start()
@@ -129,51 +127,40 @@ class TriggerEngine:
         planner = (
             context.planner(working) if context is not None else JoinPlanner(working)
         )
-        watching_candidates = (
-            context is not None
-            and context.has_candidate_observers
-            and hasattr(working, "add_candidate_observer")
-        )
-        if watching_candidates:
-            working.add_candidate_observer(context.notify_candidate)
         deleted: List[Fact] = []
         fired: List[tuple[str, Fact]] = []
         queue: deque[Fact] = deque()
 
-        try:
-            for item in initial_deletions:
-                if working.has_active(item):
-                    working.delete(item)
-                    deleted.append(item)
-                    queue.append(item)
+        for item in initial_deletions:
+            if working.has_active(item):
+                working.delete(item)
+                deleted.append(item)
+                queue.append(item)
 
-            processed = 0
-            while queue:
-                processed += 1
-                if processed > self.max_events:
-                    raise ExperimentError(
-                        f"trigger cascade exceeded {self.max_events} events "
-                        "(possible non-termination)",
-                    )
-                event = queue.popleft()
-                for trigger in self._ordered_triggers(event.relation):
-                    for assignment in self._matching_assignments(
-                        working, trigger, event, planner,
-                    ):
-                        target = assignment.derived
-                        if not working.has_active(target):
-                            continue
-                        if context is not None:
-                            # Mid-cascade delivery: observers hear about the
-                            # firing probe match before its deletion applies.
-                            context.notify(assignment)
-                        working.delete(target)
-                        deleted.append(target)
-                        fired.append((trigger.name, target))
-                        queue.append(target)
-        finally:
-            if watching_candidates:
-                working.remove_candidate_observer(context.notify_candidate)
+        processed = 0
+        while queue:
+            processed += 1
+            if processed > self.max_events:
+                raise ExperimentError(
+                    f"trigger cascade exceeded {self.max_events} events "
+                    "(possible non-termination)",
+                )
+            event = queue.popleft()
+            for trigger in self._ordered_triggers(event.relation):
+                for assignment in self._matching_assignments(
+                    working, trigger, event, planner,
+                ):
+                    target = assignment.derived
+                    if not working.has_active(target):
+                        continue
+                    if context is not None:
+                        # Mid-cascade delivery: observers hear about the
+                        # firing probe match before its deletion applies.
+                        context.notify(assignment)
+                    working.delete(target)
+                    deleted.append(target)
+                    fired.append((trigger.name, target))
+                    queue.append(target)
         return TriggerRun(
             policy=self.policy,
             deleted=frozenset(deleted),

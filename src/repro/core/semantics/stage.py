@@ -20,14 +20,15 @@ on in-memory databases, the generation-window SQL variants of
 ones).  ``engine="naive"`` keeps the re-evaluate-everything loop as the oracle.
 
 With a shared :class:`~repro.datalog.context.EvalContext` (e.g. inside a
-``RepairEngine.compare()`` run) both discovery paths turn adaptive: join
-plans are re-costed at every stage boundary
-(:meth:`~repro.datalog.planner.JoinPlanner.begin_round` — deletions shrink
-extents, so cached orders go stale), and when the context carries assignment
-*observers* each discovered assignment is delivered to them once per
-enumeration on both backends — the SQLite path stages the discovery join
-through the persistent keyed stage table so rows feed the observers and the
-live-assignment index from one join (see
+``RepairEngine.compare()`` run) both discovery paths reuse the context's
+cached join plans and compiled variants, built once and never rebuilt; a
+stage boundary
+(:meth:`~repro.datalog.planner.JoinPlanner.begin_round`) only makes plans
+first built in the next stage cost the shrunken extents.  When the context
+carries assignment *observers* each discovered assignment is delivered to
+them once per enumeration on both backends — the SQLite path stages the
+discovery join through the persistent keyed stage table so rows feed the
+observers and the live-assignment index from one join (see
 :mod:`repro.datalog.sql_seminaive`), the in-memory path mirrors its planned
 enumeration to the observers as it streams.  Without observers discovery
 stays on plain single-pass SELECTs / streamed joins.
@@ -179,8 +180,8 @@ class _MemoryStageDiscovery:
     def newly_enabled(self) -> Iterator[Assignment]:
         from repro.datalog.seminaive import seeded_assignments
 
-        # Stage boundary: deletions changed the extents, so let the planner
-        # re-cost any plan whose snapshot has drifted.
+        # Stage boundary: deletions changed the extents, so drop the
+        # planner's cardinality cache; cached plans are kept as they are.
         self._planner.begin_round()
         frontier: Dict[str, Set[Fact]] = {}
         for relation in self._relations:

@@ -29,27 +29,24 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Tuple
 
-from repro.datalog.planner import DRIFT_FACTOR
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.datalog.ast import Rule
     from repro.datalog.evaluation import Assignment
     from repro.datalog.planner import JoinPlanner
     from repro.datalog.sql_compiler import FrontierQuery
     from repro.storage.database import BaseDatabase
-    from repro.storage.facts import Fact
 
 #: Signature of an assignment observer.
 AssignmentObserver = Callable[["Assignment"], None]
-
-#: Signature of a candidate observer: ``(relation, fact)`` for every fact an
-#: in-memory candidate iterator yields while a subscribed run evaluates.
-CandidateObserver = Callable[[str, "Fact"], None]
 
 
 @dataclass
 class QueryStats:
     """Per-statement-class counters for the SQLite semi-naive driver.
+
+    The planner and maintenance counters ride along.  Join plans are built
+    once and never re-planned, so :attr:`replans` and :attr:`noop_replans`
+    always read zero.
 
     Attributes
     ----------
@@ -75,19 +72,11 @@ class QueryStats:
         registered (staging would be pure overhead with a single consumer;
         the gate mirrors the closure driver's ``observing`` flag).
     replans:
-        Join plans rebuilt by round-boundary re-costing: the in-memory
-        planner detected that a relation's extent drifted past the
-        :data:`~repro.datalog.planner.DRIFT_FACTOR` band around the
-        cardinalities its cached plan was costed with, and re-costed the
-        plan in the shared structural cache.
+        Always zero.  Kept (with :attr:`noop_replans`) because external
+        benchmark readers still read both counters by name; cached join
+        plans are permanent, so nothing is ever re-planned.
     noop_replans:
-        The subset of :attr:`replans` whose rebuilt plan kept the old join
-        order — wasted rebuilds, the signal the adaptive drift band widens
-        on (see *Adaptive drift band* in :mod:`repro.datalog.planner`).
-    drift_factor:
-        The re-costing band observed at the last replan — the base
-        :data:`~repro.datalog.planner.DRIFT_FACTOR` until consecutive no-op
-        replans widen it.
+        Always zero, like :attr:`replans`.
     shard_selects:
         Always zero.  Kept (with :attr:`effective_shards`) because external
         benchmark readers still read both counters by name; no engine shards
@@ -109,8 +98,7 @@ class QueryStats:
         since the wcoj lowering compiles distinct SQL.
     wcoj_rules:
         Plan builds the in-memory planner classified as worst-case-optimal
-        (``plan_kind="wcoj"``) — once per build, so round-boundary re-costing
-        that re-confirms the kind counts again.
+        (``plan_kind="wcoj"``) — once per plan build.
     wcoj_intersections:
         Variable-level leapfrog intersection steps the generic-join driver
         performed (one per variable binding frontier explored).  Updated by
@@ -149,7 +137,6 @@ class QueryStats:
     assignment_selects: int = 0
     replans: int = 0
     noop_replans: int = 0
-    drift_factor: float = DRIFT_FACTOR
     variant_compiles: int = 0
     shard_selects: int = 0
     effective_shards: int = 0
@@ -176,7 +163,6 @@ class QueryStats:
         self.assignment_selects = 0
         self.replans = 0
         self.noop_replans = 0
-        self.drift_factor = DRIFT_FACTOR
         self.variant_compiles = 0
         self.shard_selects = 0
         self.effective_shards = 0
@@ -206,9 +192,6 @@ class EvalContext:
     _plans: Dict = field(default_factory=dict, repr=False)
     _variants: Dict = field(default_factory=dict, repr=False)
     _observers: List[AssignmentObserver] = field(default_factory=list, repr=False)
-    _candidate_observers: List[CandidateObserver] = field(
-        default_factory=list, repr=False,
-    )
 
     # -- planning ---------------------------------------------------------------
 
@@ -217,10 +200,8 @@ class EvalContext:
 
         Cardinality estimates stay per-planner (they describe one database
         instance); the structural plan dictionary is shared, so every planner
-        the context hands out benefits from plans built by the others.
-        Planners created through a context also re-cost cached plans at round
-        boundaries (see :meth:`~repro.datalog.planner.JoinPlanner.begin_round`)
-        and record every rebuild in :attr:`QueryStats.replans`.
+        the context hands out benefits from plans built by the others.  A
+        plan, once in the shared cache, is never rebuilt.
         """
         from repro.datalog.planner import JoinPlanner
 
@@ -296,36 +277,3 @@ class EvalContext:
         """Deliver one new assignment to every registered observer."""
         for observer in self._observers:
             observer(assignment)
-
-    # -- candidate observers -----------------------------------------------------
-
-    def add_candidate_observer(self, observer: CandidateObserver) -> None:
-        """Register ``observer`` on the in-memory candidate iterators.
-
-        While a run that honours the context evaluates (the semi-naive
-        in-memory closure, or a :class:`~repro.baselines.trigger_engine.TriggerEngine`
-        cascade), ``observer(relation, fact)`` fires for every fact a
-        :class:`~repro.storage.indexes.RelationIndex` candidate iterator
-        yields — a *probe-level* stream, delivered mid-round / mid-cascade as
-        the join explores, not once per finished assignment.  The SQL engine
-        never iterates candidates in Python, so SQLite-backed runs deliver
-        nothing here (subscribe assignment observers instead).
-        """
-        self._candidate_observers.append(observer)
-
-    def remove_candidate_observer(self, observer: CandidateObserver) -> None:
-        """Unregister a previously added candidate observer (no-op when absent)."""
-        try:
-            self._candidate_observers.remove(observer)
-        except ValueError:
-            pass
-
-    @property
-    def has_candidate_observers(self) -> bool:
-        """True when at least one candidate observer is registered."""
-        return bool(self._candidate_observers)
-
-    def notify_candidate(self, relation: str, item: "Fact") -> None:
-        """Deliver one candidate fact to every registered candidate observer."""
-        for observer in self._candidate_observers:
-            observer(relation, item)

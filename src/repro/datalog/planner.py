@@ -21,39 +21,10 @@ constant values they mention — e.g. the per-event probe rules the trigger
 baseline builds, or the per-tuple deletion requests of Section 3.6 — share a
 single cached plan.
 
-Round-boundary re-costing
--------------------------
-
-A cached plan remembers the cardinalities it was costed with
-(:attr:`JoinPlan.cost_snapshot`).  Delta extents start near-empty and can grow
-by orders of magnitude across a deep cascade, so a join order that was right
-in round 2 may be badly wrong by round 10.  The semi-naive frontier loop calls
-:meth:`JoinPlanner.begin_round` at every round boundary, which drops the
-planner's per-round cardinality cache; the next :meth:`JoinPlanner.plan`
-request for a cached plan then compares the *current* extents against the
-snapshot and rebuilds the plan when any relation drifted past the
-:data:`DRIFT_FACTOR` band (in either direction).  Rebuilt plans replace their
-predecessor in the (possibly context-shared) structural cache — sharing is
-preserved, only the costing is refreshed — and every rebuild is recorded in
-:attr:`~repro.datalog.context.QueryStats.replans` when the planner was created
-through an :class:`~repro.datalog.context.EvalContext`.  Without a
-``begin_round`` call the cardinality cache never refreshes and the planner
-behaves exactly as before (plans are permanent).
-
-Adaptive drift band
--------------------
-
-Re-costing is only worth its cardinality reads when the rebuilt plan actually
-changes the join order.  The planner therefore tracks the *outcome* of every
-rebuild: a rebuild that kept the old order is a **no-op replan**
-(:attr:`~repro.datalog.context.QueryStats.noop_replans`), and after
-:data:`NOOP_STREAK_TO_WIDEN` consecutive no-ops the band doubles (up to
-:data:`MAX_DRIFT_FACTOR`), so a workload whose extents swing wildly without
-ever changing the optimal order stops paying for rebuilds.  A rebuild that
-*does* change the order resets the band to the base :data:`DRIFT_FACTOR` —
-the drift signal proved informative again.  The band currently in effect is
-exposed through :attr:`~repro.datalog.context.QueryStats.drift_factor` when
-the planner came from an :class:`~repro.datalog.context.EvalContext`.
+Plans are permanent: once built, a cached plan is reused for every later
+request with the same key.  :meth:`JoinPlanner.begin_round` only drops the
+per-round cardinality cache, so a plan built for the first time after a round
+boundary is costed on the extents as they stand then.
 
 Width-aware plan kinds
 ----------------------
@@ -73,12 +44,11 @@ Classification runs a GYO reduction on the body's join hypergraph
 the planner compares a cardinality-based AGM estimate — the product of the
 extents of a greedy fractional-edge-cover of the cyclic core — against the
 binary plan's first-join cost estimate, and picks ``wcoj`` when the AGM
-estimate is no worse.  The decision is re-taken by the same round-boundary
-re-costing machinery that refreshes join orders, so a rule can switch kinds
-as delta extents grow.  ``REPRO_FORCE_PLAN=binary|wcoj`` (read per plan
-build) overrides the heuristic for differential testing; hypothetical plans
-(independent semantics) always stay binary because wcoj tries cover single
-extents, not the active ∪ delta union.
+estimate is no worse.  Like the join order, the kind is fixed when the plan
+is built.  ``REPRO_FORCE_PLAN=binary|wcoj`` (read per plan build) overrides
+the heuristic for differential testing; hypothetical plans (independent
+semantics) always stay binary because wcoj tries cover single extents, not
+the active ∪ delta union.
 """
 
 from __future__ import annotations
@@ -95,19 +65,6 @@ from repro.storage.database import BaseDatabase
 #: Marker used in plan keys for constant positions (the value is irrelevant
 #: to the plan: any constant is an equality constraint on that position).
 _CONST = "\0const"
-
-#: Re-cost a cached plan when some scanned extent grew or shrank by at least
-#: this factor relative to the plan's cost snapshot.  Join orders only change
-#: on large relative swings (the planner compares sizes, not estimates), so a
-#: wide band keeps replans rare and ping-ponging impossible within a round.
-DRIFT_FACTOR = 4.0
-
-#: Consecutive no-op replans (rebuilds that kept the join order) after which
-#: the drift band widens — and keeps widening on every further no-op.
-NOOP_STREAK_TO_WIDEN = 2
-
-#: Ceiling for the adaptively widened drift band.
-MAX_DRIFT_FACTOR = 64.0
 
 #: Environment knob forcing every eligible rule onto one plan kind
 #: (``binary`` or ``wcoj``); read at each plan build so tests can flip it.
@@ -180,10 +137,6 @@ class JoinPlan:
     seed:
         The body-atom index the plan assumes is matched first (from the
         delta frontier), or None for a full evaluation plan.
-    cost_snapshot:
-        The ``((relation, delta), size)`` cardinalities the plan was costed
-        with, used by round-boundary re-costing to detect drift.  Empty for
-        hand-built plans (never re-costed).
     kind:
         ``"binary"`` or ``"wcoj"`` (see module docstring, *Width-aware plan
         kinds*).  Defaults to binary so hand-built plans keep working.
@@ -198,9 +151,6 @@ class JoinPlan:
 
     order: Tuple[int, ...]
     seed: int | None = None
-    cost_snapshot: Tuple[Tuple[Tuple[str, bool], int], ...] = field(
-        default=(), compare=False,
-    )
     kind: str = PLAN_BINARY
     var_order: Tuple[str, ...] = field(default=(), compare=False)
     width: float = field(default=1.0, compare=False)
@@ -231,52 +181,31 @@ class JoinPlanner:
 
     One planner is created per evaluation session (a closure run, a trigger
     cascade, a provenance build...) so the cardinalities it reads reflect the
-    instance being evaluated; plans are cached on first use and reused for
-    every later round.
+    instance being evaluated; plans are cached on first use and reused, never
+    rebuilt, for every later round.
 
     ``plans`` optionally injects a shared plan dictionary — the handle an
     :class:`~repro.datalog.context.EvalContext` passes so that the planners of
     one ``RepairEngine.compare()`` run (one per semantics, each over its own
     clone) reuse each other's join orders.  Plans are keyed purely on rule
     *structure*, so sharing them across clones of the same database is sound;
-    only the cardinality snapshots stay per-planner.  ``stats`` (a
-    :class:`~repro.datalog.context.QueryStats`) records round-boundary
-    replans; ``drift_factor`` widens or narrows the re-costing band (see the
-    module docstring).
+    only the cardinality cache stays per-planner.  ``stats`` (a
+    :class:`~repro.datalog.context.QueryStats`) receives the width, wcoj-plan
+    and wcoj-intersection counters.
     """
 
-    __slots__ = (
-        "_db",
-        "_plans",
-        "_cardinalities",
-        "_stats",
-        "_recost_armed",
-        "_base_drift_factor",
-        "_noop_streak",
-        "drift_factor",
-    )
+    __slots__ = ("_db", "_plans", "_cardinalities", "_stats")
 
     def __init__(
         self,
         db: BaseDatabase,
         plans: Dict[Hashable, JoinPlan] | None = None,
         stats=None,
-        drift_factor: float = DRIFT_FACTOR,
     ) -> None:
         self._db = db
         self._plans: Dict[Hashable, JoinPlan] = plans if plans is not None else {}
         self._cardinalities: Dict[tuple[str, bool], int] = {}
         self._stats = stats
-        #: Drift checks only arm after the first :meth:`begin_round` on *this*
-        #: planner: a fresh planner over a different database instance must
-        #: not re-cost plans a sibling put into a shared cache (plans stay
-        #: permanent for round-less consumers like the trigger probes).
-        self._recost_armed = False
-        self._base_drift_factor = drift_factor
-        #: Consecutive rebuilds that kept the old join order (see module
-        #: docstring, *Adaptive drift band*).
-        self._noop_streak = 0
-        self.drift_factor = drift_factor
 
     # -- cardinality estimates -------------------------------------------------
 
@@ -300,43 +229,27 @@ class JoinPlanner:
     # -- planning ---------------------------------------------------------------
 
     def begin_round(self) -> None:
-        """Mark a round boundary: drop the cardinality cache so the next
-        :meth:`plan` request re-reads extents and can detect drift.
+        """Mark a round boundary: drop the cardinality cache.
 
         Called by the semi-naive frontier loop (and the incremental stage
-        discovery) before each delta round; cheap — cardinality reads within
-        the round stay memoised.  The first call also arms drift re-costing
-        for this planner; until then cached plans are returned untouched.
+        discovery) before each delta round, so plans first requested in the
+        round are costed on the current extents.  Cached plans are untouched.
         """
         self._cardinalities.clear()
-        self._recost_armed = True
 
     def plan(
         self, rule: Rule, seed: int | None = None, hypothetical: bool = False,
     ) -> JoinPlan:
         """The join order for ``rule``, optionally seeded at body atom ``seed``.
 
-        After :meth:`begin_round` has armed re-costing, a cached plan is
-        returned as-is unless its cost snapshot has drifted past the
-        :attr:`drift_factor` band, in which case it is re-costed in place
-        (shared caches see the refreshed plan too) and the rebuild is counted
-        in ``stats.replans``.  An unarmed planner (no round boundary crossed
-        yet) never re-costs, so sharing a plan cache across database
-        instances of different sizes cannot make round-less consumers thrash
-        each other's plans.
+        Built on the first request for the rule's structure, then returned
+        from the (possibly context-shared) cache.
         """
         key = plan_key(rule, seed, hypothetical)
-        cached = self._plans.get(key)
-        if cached is not None and not (
-            self._recost_armed and self._drifted(cached, hypothetical)
-        ):
-            return cached
-        plan = self._build_plan(rule, seed, hypothetical)
-        self._plans[key] = plan
-        if cached is not None:
-            self._record_replan_outcome(
-                changed_order=plan.order != cached.order or plan.kind != cached.kind,
-            )
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._build_plan(rule, seed, hypothetical)
+            self._plans[key] = plan
         return plan
 
     @property
@@ -344,47 +257,10 @@ class JoinPlanner:
         """The :class:`~repro.datalog.context.QueryStats` sink, or None."""
         return self._stats
 
-    def _record_replan_outcome(self, changed_order: bool) -> None:
-        """Adapt the drift band to whether the rebuild changed the join order.
-
-        Rebuilds that keep the order are wasted cardinality reads; after
-        :data:`NOOP_STREAK_TO_WIDEN` consecutive no-ops the band doubles (to at
-        most :data:`MAX_DRIFT_FACTOR`) so the next drift of the same magnitude
-        no longer triggers a rebuild.  An order-changing rebuild proves the
-        signal useful and resets the band to its base value.
-        """
-        if changed_order:
-            self._noop_streak = 0
-            self.drift_factor = self._base_drift_factor
-        else:
-            self._noop_streak += 1
-            if self._noop_streak >= NOOP_STREAK_TO_WIDEN:
-                self.drift_factor = min(self.drift_factor * 2.0, MAX_DRIFT_FACTOR)
-        if self._stats is not None:
-            self._stats.replans += 1
-            if not changed_order:
-                self._stats.noop_replans += 1
-            self._stats.drift_factor = self.drift_factor
-
-    def _drifted(self, plan: JoinPlan, hypothetical: bool) -> bool:
-        """True when some extent of ``plan``'s snapshot drifted past the band."""
-        factor = self.drift_factor
-        for (relation, delta), old in plan.cost_snapshot:
-            new = self._cardinality(relation, delta, hypothetical)
-            low, high = max(old, 1), max(new, 1)
-            if low > high:
-                low, high = high, low
-            if high >= factor * low:
-                return True
-        return False
-
     def _build_plan(self, rule: Rule, seed: int | None, hypothetical: bool) -> JoinPlan:
         body = rule.body
         bound: set[str] = set()
         order: list[int] = []
-        #: Extents read while costing, keyed (relation, delta) — the snapshot
-        #: round-boundary re-costing compares against.
-        costed: Dict[tuple[str, bool], int] = {}
         if seed is not None:
             order.append(seed)
             bound.update(body[seed].variable_names())
@@ -401,7 +277,6 @@ class JoinPlanner:
                     ):
                         connected += 1
                 size = self._cardinality(atom.relation, atom.is_delta, hypothetical)
-                costed[(atom.relation, atom.is_delta)] = size
                 # Highest connectivity first, then smallest extent, then body
                 # order; negations make a single min() comparison work.
                 score = (-connected, size, index)
@@ -415,7 +290,6 @@ class JoinPlanner:
         return JoinPlan(
             order=tuple(order),
             seed=seed,
-            cost_snapshot=tuple(sorted(costed.items())),
             kind=kind,
             var_order=var_order,
             width=width,

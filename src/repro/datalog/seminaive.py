@@ -174,16 +174,6 @@ def semi_naive_closure(
         {atom.relation for rule in delta_rules for atom in rule.body if atom.is_delta},
     )
     tokens = {relation: db.delta_token(relation) for relation in relations}
-    # Context candidate observers attach to the storage layer's candidate
-    # iterators for the duration of the run, so subscribers see every probed
-    # fact mid-round (the SQL driver has no Python-side iteration to observe).
-    watching_candidates = (
-        context is not None
-        and context.has_candidate_observers
-        and hasattr(db, "add_candidate_observer")
-    )
-    if watching_candidates:
-        db.add_candidate_observer(context.notify_candidate)
 
     all_assignments: List[Assignment] = []
     seen_signatures: set[tuple] = set()
@@ -212,39 +202,35 @@ def semi_naive_closure(
                 f"closure did not converge within {max_rounds} rounds",
             )
 
-    try:
-        # Round 1: one full evaluation of every rule (planned joins, no
-        # frontier).
+    # Round 1: one full evaluation of every rule (planned joins, no
+    # frontier).
+    enter_round()
+    for rule in rules:
+        for assignment in find_assignments(db, rule, planner=planner):
+            record(assignment)
+    for item in derived_now:
+        db.mark_deleted(item)
+
+    # Rounds 2..: re-enter rules only through the previous round's
+    # frontier.  Each round boundary drops the planner's cardinality cache,
+    # so a plan first built in this round is costed on the current extents;
+    # cached plans are reused unchanged.
+    while True:
+        frontier: Frontier = {}
+        for relation in relations:
+            added = db.delta_added_since(relation, tokens[relation])
+            tokens[relation] = db.delta_token(relation)
+            if added:
+                frontier[relation] = set(added)
+        if not frontier:
+            break
         enter_round()
-        for rule in rules:
-            for assignment in find_assignments(db, rule, planner=planner):
+        planner.begin_round()
+        derived_now = []
+        for rule in delta_rules:
+            for assignment in seeded_assignments(db, rule, frontier, planner):
                 record(assignment)
         for item in derived_now:
             db.mark_deleted(item)
-
-        # Rounds 2..: re-enter rules only through the previous round's
-        # frontier.  Each round boundary refreshes the planner's cardinality
-        # cache so plans whose extents drifted get re-costed before the
-        # round's joins run.
-        while True:
-            frontier: Frontier = {}
-            for relation in relations:
-                added = db.delta_added_since(relation, tokens[relation])
-                tokens[relation] = db.delta_token(relation)
-                if added:
-                    frontier[relation] = set(added)
-            if not frontier:
-                break
-            enter_round()
-            planner.begin_round()
-            derived_now = []
-            for rule in delta_rules:
-                for assignment in seeded_assignments(db, rule, frontier, planner):
-                    record(assignment)
-            for item in derived_now:
-                db.mark_deleted(item)
-    finally:
-        if watching_candidates:
-            db.remove_candidate_observer(context.notify_candidate)
 
     return ClosureResult(all_assignments, rounds, ENGINE_SEMI_NAIVE)

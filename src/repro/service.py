@@ -218,6 +218,11 @@ class RepairService:
         deleted and re-inserted across tenants is left untouched if already
         present (net no-op), like re-inserting a present fact in
         :meth:`apply`.
+
+        Every fact of the net batch is checked against the schema first
+        (:meth:`~repro.storage.database.BaseDatabase.check_fact`): an
+        unknown relation or a wrong arity raises before any state changes,
+        and the service stays usable.
         """
         if self._poisoned is not None:
             raise ServicePoisonedError(self._poisoned)
@@ -227,11 +232,13 @@ class RepairService:
                 net[item] = False
             for item in inserts:
                 net[item] = True
+        for item in net:
+            self._db.check_fact(item)
 
         self._store.begin_batch()
         try:
-            # Refresh the planner's cardinality snapshot so the adaptive
-            # re-costing band sees extent drift accumulated across batches.
+            # Drop the planner's cardinality cache so plans first built in
+            # this batch are costed on the current extents.
             self._planner.begin_round()
 
             removed = []

@@ -43,6 +43,21 @@ class BaseDatabase(ABC):
         """All relation names declared in the schema."""
         return self.schema.names()
 
+    def check_fact(self, item: Fact) -> None:
+        """Raise unless ``item`` names a declared relation with its arity.
+
+        Raises :class:`~repro.exceptions.UnknownRelationError` or
+        :class:`~repro.exceptions.ArityMismatchError`; every write runs it,
+        and :class:`~repro.service.RepairService` runs it over a whole batch
+        before changing any state.
+        """
+        schema = self.schema
+        if item.relation not in schema:
+            raise UnknownRelationError(item.relation)
+        expected = schema.arity(item.relation)
+        if item.arity != expected:
+            raise ArityMismatchError(item.relation, expected, item.arity)
+
     # -- reading ----------------------------------------------------------------
 
     @abstractmethod
@@ -236,9 +251,6 @@ class Database(BaseDatabase):
             name: RelationIndex() for name in schema.names()
         }
         self._tid_counter = itertools.count(1)
-        #: ``observer -> [(index, wrapper), ...]`` for candidate-observer
-        #: removal (see :meth:`add_candidate_observer`).
-        self._candidate_observers: Dict[Any, list] = {}
 
     # -- construction helpers -----------------------------------------------
 
@@ -274,13 +286,6 @@ class Database(BaseDatabase):
 
     def _relation_schema(self, relation: str) -> RelationSchema:
         return self._schema.relation(relation)
-
-    def _check(self, item: Fact) -> None:
-        if item.relation not in self._schema:
-            raise UnknownRelationError(item.relation)
-        expected = self._schema.arity(item.relation)
-        if item.arity != expected:
-            raise ArityMismatchError(item.relation, expected, item.arity)
 
     # -- reading -----------------------------------------------------------------
 
@@ -321,42 +326,6 @@ class Database(BaseDatabase):
             if item not in active:
                 yield item
 
-    # -- candidate observers ------------------------------------------------------
-
-    def add_candidate_observer(self, observer) -> None:
-        """Subscribe ``observer(relation, fact)`` to every candidate iterated.
-
-        The storage end of the :class:`~repro.datalog.context.EvalContext`
-        candidate-observer API: the observer fires for each fact any of this
-        database's per-relation candidate iterators yields (active and delta
-        extents alike) while it stays registered, so a subscriber sees probes
-        mid-round / mid-cascade.  Clones never inherit observers.
-        """
-        wrappers = []
-        for store in (self._active, self._delta):
-            for name, index in store.items():
-                def wrapper(item: Fact, relation: str = name) -> None:
-                    observer(relation, item)
-
-                index.add_observer(wrapper)
-                wrappers.append((index, wrapper))
-        self._candidate_observers.setdefault(observer, []).extend(wrappers)
-
-    def remove_candidate_observer(self, observer) -> None:
-        """Unsubscribe a previously added candidate observer (no-op when absent)."""
-        for index, wrapper in self._candidate_observers.pop(observer, ()):
-            index.remove_observer(wrapper)
-
-    @property
-    def has_candidate_observers(self) -> bool:
-        """True while any candidate observer is registered.
-
-        The wcoj driver walks tries instead of candidate iterators, so the
-        engines fall back to the binary path whenever this is set — candidate
-        observers must see every probed fact.
-        """
-        return bool(self._candidate_observers)
-
     def relation_index(self, relation: str, delta: bool = False) -> RelationIndex:
         """The :class:`RelationIndex` backing one extent (trie access point)."""
         store = self._delta if delta else self._active
@@ -388,26 +357,26 @@ class Database(BaseDatabase):
     # -- writing -----------------------------------------------------------------
 
     def insert(self, item: Fact) -> bool:
-        self._check(item)
+        self.check_fact(item)
         if item.tid is None:
             item = item.with_tid(f"t{next(self._tid_counter)}")
         return self._active[item.relation].add(item)
 
     def delete(self, item: Fact) -> bool:
-        self._check(item)
+        self.check_fact(item)
         self._active[item.relation].discard(item)
         return self._delta[item.relation].add(item)
 
     def mark_deleted(self, item: Fact) -> bool:
-        self._check(item)
+        self.check_fact(item)
         return self._delta[item.relation].add(item)
 
     def drop_active(self, item: Fact) -> bool:
-        self._check(item)
+        self.check_fact(item)
         return self._active[item.relation].discard(item)
 
     def retract_delta(self, item: Fact) -> bool:
-        self._check(item)
+        self.check_fact(item)
         return self._delta[item.relation].discard(item)
 
     # -- lifecycle ----------------------------------------------------------------

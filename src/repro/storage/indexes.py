@@ -28,24 +28,11 @@ tuple, so a fully-descended trie path ends in a single ``Fact`` — no leaf
 cross-products.  ``clear`` drops the tries and :meth:`RelationIndex.copy`
 never carries them over; value-level ordering is applied by the wcoj driver
 when it materialises an intersection, keeping trie maintenance O(arity).
-
-Candidate observers
--------------------
-
-:meth:`RelationIndex.add_observer` registers a callable invoked with every
-fact the :meth:`RelationIndex.candidates` iterator yields.  This is the
-storage end of the :class:`~repro.datalog.context.EvalContext` candidate
-observer API: the in-memory evaluation engines bridge context observers down
-to the per-relation indexes for the duration of a run, so a subscriber (e.g.
-a trigger-probe experiment) sees each probed fact *as the join explores* —
-mid-round and mid-cascade — rather than once per finished round.  With no
-observer registered the iterators are returned untouched (zero overhead on
-the hot path), and :meth:`RelationIndex.copy` never carries observers over.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Set
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Set
 
 from repro.storage.facts import Fact
 
@@ -59,14 +46,7 @@ class RelationIndex:
     removals keep that position's index up to date.
     """
 
-    __slots__ = (
-        "_facts",
-        "_by_position",
-        "_tries",
-        "_snapshot",
-        "_log",
-        "_observers",
-    )
+    __slots__ = ("_facts", "_by_position", "_tries", "_snapshot", "_log")
 
     def __init__(self, facts: Iterable[Fact] | None = None) -> None:
         self._facts: Set[Fact] = set(facts) if facts is not None else set()
@@ -77,9 +57,6 @@ class RelationIndex:
         self._snapshot: frozenset[Fact] | None = None
         #: Append-only insertion log backing the frontier tokens.
         self._log: List[Fact] = list(self._facts)
-        #: Callables fed every fact :meth:`candidates` yields (see module
-        #: docstring); empty in the common case.
-        self._observers: List[Callable[[Fact], None]] = []
 
     # -- extent maintenance --------------------------------------------------
 
@@ -221,39 +198,15 @@ class RelationIndex:
             self._tries[positions] = trie
         return trie
 
-    # -- candidate observers ---------------------------------------------------
-
-    def add_observer(self, observer: Callable[[Fact], None]) -> None:
-        """Register ``observer(fact)`` on every future :meth:`candidates` yield."""
-        self._observers.append(observer)
-
-    def remove_observer(self, observer: Callable[[Fact], None]) -> None:
-        """Unregister a previously added observer (no-op when absent)."""
-        try:
-            self._observers.remove(observer)
-        except ValueError:
-            pass
-
-    def _observed(self, iterator: Iterator[Fact]) -> Iterator[Fact]:
-        """Wrap ``iterator`` to notify the observers of every yielded fact."""
-        for item in iterator:
-            for observer in self._observers:
-                observer(item)
-            yield item
+    # -- candidate iteration -----------------------------------------------------
 
     def candidates(self, bindings: Mapping[int, Any]) -> Iterator[Fact]:
         """Facts matching every ``position -> value`` constraint in ``bindings``.
 
         With an empty ``bindings`` this iterates the whole extent.  Otherwise a
         single indexed position (the one with the smallest bucket) narrows the
-        scan and the remaining constraints are checked per candidate.  With
-        observers registered, every yielded fact is delivered to them first.
+        scan and the remaining constraints are checked per candidate.
         """
-        if self._observers:
-            return self._observed(self._candidates(bindings))
-        return self._candidates(bindings)
-
-    def _candidates(self, bindings: Mapping[int, Any]) -> Iterator[Fact]:
         if not bindings:
             yield from self._facts
             return
@@ -281,8 +234,7 @@ class RelationIndex:
                 yield item
 
     def copy(self) -> "RelationIndex":
-        """Return a copy sharing no mutable state (indexes are rebuilt lazily,
-        observers are not carried over)."""
+        """Return a copy sharing no mutable state (indexes are rebuilt lazily)."""
         return RelationIndex(self._facts)
 
 

@@ -40,7 +40,7 @@ from __future__ import annotations
 import sqlite3
 from typing import Any, Dict, Iterable, Iterator, Mapping
 
-from repro.exceptions import ArityMismatchError, StorageError, UnknownRelationError
+from repro.exceptions import StorageError, UnknownRelationError
 from repro.storage.database import BaseDatabase
 from repro.storage.facts import Fact
 from repro.storage.schema import Schema
@@ -239,13 +239,6 @@ class SQLiteDatabase(BaseDatabase):
             if cursor.rowcount > 0:
                 self._generation += 1
 
-    def _check(self, item: Fact) -> None:
-        if item.relation not in self._schema:
-            raise UnknownRelationError(item.relation)
-        expected = self._schema.arity(item.relation)
-        if item.arity != expected:
-            raise ArityMismatchError(item.relation, expected, item.arity)
-
     # -- reading -----------------------------------------------------------------
 
     def _rows_to_facts(self, relation: str, rows: Iterable[tuple]) -> Iterator[Fact]:
@@ -289,7 +282,7 @@ class SQLiteDatabase(BaseDatabase):
         return self._exists(delta_table(item.relation), item)
 
     def _exists(self, table: str, item: Fact) -> bool:
-        self._check(item)
+        self.check_fact(item)
         clauses = " AND ".join(f"c{i} = ?" for i in range(item.arity))
         row = self._connection.execute(
             f"SELECT 1 FROM {table} WHERE {clauses} LIMIT 1", item.values,
@@ -346,7 +339,7 @@ class SQLiteDatabase(BaseDatabase):
     # -- writing -----------------------------------------------------------------
 
     def insert(self, item: Fact) -> bool:
-        self._check(item)
+        self.check_fact(item)
         return self._insert_into(active_table(item.relation), item)
 
     def _insert_into(self, table: str, item: Fact) -> bool:
@@ -377,20 +370,20 @@ class SQLiteDatabase(BaseDatabase):
         return cursor.rowcount > 0
 
     def delete(self, item: Fact) -> bool:
-        self._check(item)
+        self.check_fact(item)
         self._delete_from(active_table(item.relation), item)
         return self._record_delta(item)
 
     def mark_deleted(self, item: Fact) -> bool:
-        self._check(item)
+        self.check_fact(item)
         return self._record_delta(item)
 
     def drop_active(self, item: Fact) -> bool:
-        self._check(item)
+        self.check_fact(item)
         return self._delete_from(active_table(item.relation), item)
 
     def retract_delta(self, item: Fact) -> bool:
-        self._check(item)
+        self.check_fact(item)
         removed = self._delete_from(delta_table(item.relation), item)
         # Drop the frontier mirror too: a later re-derivation must re-stamp
         # ``f_R`` with a fresh generation (``INSERT OR IGNORE`` would otherwise
@@ -401,7 +394,7 @@ class SQLiteDatabase(BaseDatabase):
     def insert_all(self, items: Iterable[Fact]) -> int:
         by_relation: Dict[str, list[tuple]] = {}
         for item in items:
-            self._check(item)
+            self.check_fact(item)
             by_relation.setdefault(item.relation, []).append((*item.values, item.tid))
         inserted = 0
         for relation, rows in by_relation.items():

@@ -1,6 +1,6 @@
-"""Tests for the adaptive evaluation layer (PR 4).
+"""Tests for the SQLite staging layer and its shared-context matrix.
 
-Four behaviours introduced together:
+Three groups:
 
 * **keyed stage tables** — the SQLite staged path persists one temp table per
   variant width (``_repro_stage_wN`` with a ``variant_id`` key) instead of
@@ -11,28 +11,17 @@ Four behaviours introduced together:
   discovery joins stage through the same keyed tables (covered in
   ``tests/test_sql_staging.py``; the matrix check here exercises it through
   :class:`~repro.core.repair.RepairEngine`);
-* **round-boundary plan re-costing** — the in-memory planner rebuilds a
-  cached join plan when the extents drift past the
-  :data:`~repro.datalog.planner.DRIFT_FACTOR` band around the plan's cost
-  snapshot, recording each rebuild in ``QueryStats.replans``;
-* **candidate observers** — the :class:`~repro.datalog.context.EvalContext`
-  observer API reaches the in-memory candidate iterators, so trigger probes
-  deliver mid-cascade instead of post-run.
+* **matrix** — repeated ``repair_all()`` passes over one shared context, on
+  both backends, match the naive oracle.
 """
 
 from __future__ import annotations
 
-from typing import List
-
-from repro.baselines.trigger_engine import TriggerEngine, seed_deletions
 from repro.core.repair import RepairEngine
 from repro.core.semantics import Semantics
 from repro.datalog import DeltaProgram, EvalContext, run_closure
-from repro.datalog.parser import parse_rule
 from repro.datalog.sql_compiler import compile_frontier_rule
-from repro.storage.database import Database
-from repro.storage.facts import Fact, fact
-from repro.storage.indexes import RelationIndex
+from repro.storage.facts import fact
 from repro.storage.schema import RelationSchema, Schema
 from repro.storage.sqlite_backend import SQLiteDatabase, stage_table_name
 
@@ -184,261 +173,6 @@ class TestKeyedStageTables:
         assert set(staged_db.all_deltas()) == set(fast_db.all_deltas())
 
 
-class TestPlanRecosting:
-    def _rule(self):
-        return parse_rule("delta R(x) :- R(x), S(x).")
-
-    def _db(self, r_count: int, s_count: int) -> Database:
-        schema = Schema.from_arities({"R": 1, "S": 1})
-        return Database.from_dicts(
-            schema,
-            {"R": [(i,) for i in range(r_count)], "S": [(i,) for i in range(s_count)]},
-        )
-
-    def test_drift_triggers_replan_and_changes_order(self):
-        db = self._db(2, 30)
-        ctx = EvalContext()
-        planner = ctx.planner(db)
-        rule = self._rule()
-        first = planner.plan(rule)
-        assert first.order == (0, 1)  # R (2 facts) before S (30)
-        assert ctx.stats.replans == 0
-        # Grow R well past the drift band, then cross a round boundary.
-        for value in range(100, 600):
-            db.insert(Fact("R", (value,)))
-        planner.begin_round()
-        second = planner.plan(rule)
-        assert ctx.stats.replans == 1
-        assert second.order == (1, 0)  # S is now the smaller extent
-        # Stable extents: the re-costed plan is reused, not rebuilt again.
-        planner.begin_round()
-        assert planner.plan(rule) is second
-        assert ctx.stats.replans == 1
-
-    def test_without_round_boundary_plans_are_permanent(self):
-        db = self._db(2, 30)
-        ctx = EvalContext()
-        planner = ctx.planner(db)
-        rule = self._rule()
-        first = planner.plan(rule)
-        for value in range(100, 600):
-            db.insert(Fact("R", (value,)))
-        # No begin_round: the cardinality cache is warm, no drift is seen.
-        assert planner.plan(rule) is first
-        assert ctx.stats.replans == 0
-
-    def test_replans_recorded_in_shared_cache_during_closure(self):
-        # A growing-delta cascade: delta A doubles as both the seed and a
-        # non-seed atom, so its extent (1, 2, 3, ... facts over the rounds)
-        # drifts past the band and forces a replan mid-closure.
-        schema = Schema.from_arities({"A": 2, "P": 2})
-        chain = Database.from_dicts(
-            schema,
-            {
-                "A": [(i, i + 1) for i in range(30)],
-                "P": [(i, j) for i in range(31) for j in range(31)],
-            },
-        )
-        program = DeltaProgram.from_text(
-            """
-            delta A(x, y) :- A(x, y), x = 0.
-            delta A(y, z) :- A(y, z), delta A(x, y).
-            delta P(x, z) :- P(x, z), delta A(x, y), delta A(y, z).
-            """,
-        )
-        ctx = EvalContext()
-        semi_db = chain.clone()
-        semi = run_closure(semi_db, program, engine="semi-naive", context=ctx)
-        assert semi.rounds > 8
-        assert ctx.stats.replans >= 1
-        # Re-costing must not change the fixpoint or the assignment set.
-        naive_db = chain.clone()
-        naive = run_closure(naive_db, program, engine="naive")
-        assert set(semi_db.all_deltas()) == set(naive_db.all_deltas())
-        assert {a.signature() for a in semi.assignments} == {
-            a.signature() for a in naive.assignments
-        }
-
-
-class TestAdaptiveDriftBand:
-    """The re-costing band widens on no-op replans, resets on effective ones."""
-
-    def _rule(self):
-        return parse_rule("delta R(x) :- R(x), S(x).")
-
-    def _db(self, r_count: int, s_count: int) -> Database:
-        schema = Schema.from_arities({"R": 1, "S": 1})
-        return Database.from_dicts(
-            schema,
-            {"R": [(i,) for i in range(r_count)], "S": [(i,) for i in range(s_count)]},
-        )
-
-    def test_consecutive_noop_replans_widen_band(self):
-        from repro.datalog.planner import DRIFT_FACTOR
-
-        # S stays far larger than R, so growing R past the band re-costs the
-        # plan but never changes the order: pure no-op replans.
-        db = self._db(2, 100_000)
-        ctx = EvalContext()
-        planner = ctx.planner(db)
-        rule = self._rule()
-        assert planner.plan(rule).order == (0, 1)
-        assert planner.drift_factor == DRIFT_FACTOR
-        sizes = [10, 50, 250, 1250]
-        widened = []
-        for size in sizes:
-            for value in range(size * 10, size * 11):
-                db.insert(Fact("R", (value,)))
-            planner.begin_round()
-            planner.plan(rule)
-            widened.append(planner.drift_factor)
-        assert ctx.stats.noop_replans >= 2
-        assert ctx.stats.replans >= ctx.stats.noop_replans
-        # The second consecutive no-op doubles the band, and the observed
-        # band is exposed through the context's stats.
-        assert planner.drift_factor > DRIFT_FACTOR
-        assert ctx.stats.drift_factor == planner.drift_factor
-        assert widened == sorted(widened)
-
-    def test_widened_band_suppresses_borderline_replans(self):
-        db = self._db(2, 100_000)
-        ctx = EvalContext()
-        planner = ctx.planner(db)
-        rule = self._rule()
-        planner.plan(rule)
-        # Two forced no-op replans widen the band to 8x.
-        for size in (30, 400):
-            for value in range(size * 100, size * 100 + size):
-                db.insert(Fact("R", (value,)))
-            planner.begin_round()
-            planner.plan(rule)
-        assert ctx.stats.noop_replans == 2
-        assert planner.drift_factor == 8.0
-        replans_before = ctx.stats.replans
-        # A 5x drift (inside the widened band, outside the base 4x band)
-        # no longer triggers a rebuild.
-        for value in range(1_000_000, 1_001_300):
-            db.insert(Fact("R", (value,)))
-        planner.begin_round()
-        planner.plan(rule)
-        assert ctx.stats.replans == replans_before
-
-    def test_effective_replan_resets_band(self):
-        from repro.datalog.planner import DRIFT_FACTOR
-
-        db = self._db(2, 3_000)
-        ctx = EvalContext()
-        planner = ctx.planner(db)
-        rule = self._rule()
-        assert planner.plan(rule).order == (0, 1)
-        # Two no-op replans widen the band...
-        for size in (20, 150):
-            for value in range(size * 1000, size * 1000 + size):
-                db.insert(Fact("R", (value,)))
-            planner.begin_round()
-            planner.plan(rule)
-        assert planner.drift_factor > DRIFT_FACTOR
-        # ...then R overtakes S and the rebuild flips the order: reset.
-        for value in range(5_000_000, 5_060_000):
-            db.insert(Fact("R", (value,)))
-        planner.begin_round()
-        assert planner.plan(rule).order == (1, 0)
-        assert planner.drift_factor == DRIFT_FACTOR
-        assert ctx.stats.drift_factor == DRIFT_FACTOR
-        assert ctx.stats.replans == ctx.stats.noop_replans + 1
-
-    def test_band_capped_at_maximum(self):
-        from repro.datalog.planner import MAX_DRIFT_FACTOR
-
-        db = self._db(1, 1)
-        ctx = EvalContext()
-        planner = ctx.planner(db)
-        planner.drift_factor = MAX_DRIFT_FACTOR
-        planner._noop_streak = 5
-        planner._record_replan_outcome(changed_order=False)
-        assert planner.drift_factor == MAX_DRIFT_FACTOR
-        assert ctx.stats.drift_factor == MAX_DRIFT_FACTOR
-
-
-class TestCandidateObservers:
-    def test_relation_index_notifies_and_copy_drops_observers(self):
-        index = RelationIndex([Fact("R", (1,)), Fact("R", (2,))])
-        seen: List[Fact] = []
-        index.add_observer(seen.append)
-        assert set(index.candidates({})) == {Fact("R", (1,)), Fact("R", (2,))}
-        assert sorted(f.values[0] for f in seen) == [1, 2]
-        # Indexed lookups notify too.
-        seen.clear()
-        list(index.candidates({0: 1}))
-        assert seen == [Fact("R", (1,))]
-        # copy() starts clean; remove_observer silences the original.
-        clone = index.copy()
-        seen.clear()
-        list(clone.candidates({}))
-        assert seen == []
-        index.remove_observer(seen.append)
-        list(index.candidates({}))
-        assert seen == []
-
-    def test_closure_candidate_observer_sees_probes_and_detaches(self):
-        schema = Schema.from_arities({"R": 1, "S": 1})
-        db = Database.from_dicts(schema, {"R": [(1,), (2,)], "S": [(1,)]})
-        program = DeltaProgram.from_text(
-            """
-            delta R(x) :- R(x), S(x).
-            delta S(x) :- S(x), delta R(x).
-            """,
-        )
-        ctx = EvalContext()
-        probes: List[tuple] = []
-        ctx.add_candidate_observer(
-            lambda relation, item: probes.append((relation, item))
-        )
-        result = run_closure(db, program, engine="semi-naive", context=ctx)
-        assert result.assignments
-        assert probes
-        assert {relation for relation, _ in probes} <= {"R", "S"}
-        # The bridge detaches at closure end: later iteration is silent.
-        probes.clear()
-        list(db.candidates("R", {}))
-        assert probes == []
-
-    def test_trigger_probes_deliver_mid_cascade(self):
-        schema = Schema.from_arities({"Author": 2, "Writes": 2, "Publication": 2})
-        db = Database.from_dicts(
-            schema,
-            {
-                "Author": [(1, 10), (2, 20)],
-                "Writes": [(1, 10), (1, 11), (2, 11)],
-                "Publication": [(10, 100), (11, 110)],
-            },
-        )
-        program = DeltaProgram.from_text(
-            """
-            delta Author(a, n) :- Author(a, n), a = 1.
-            delta Writes(a, p) :- Writes(a, p), delta Author(a, n).
-            delta Publication(p, t) :- Publication(p, t), delta Writes(a, p).
-            """,
-        )
-        ctx = EvalContext()
-        assignments: List = []
-        probes: List[tuple] = []
-        ctx.add_observer(assignments.append)
-        ctx.add_candidate_observer(lambda relation, item: probes.append(relation))
-        engine = TriggerEngine.from_program(program)
-        run = engine.run(db, seed_deletions(db, program), context=ctx)
-        # Every cascaded deletion (everything after the seed) was announced
-        # through the assignment observers, in cascade order.
-        assert [a.derived for a in assignments] == list(run.deletion_order[1:])
-        # Candidate observers saw the probe joins iterate over the condition
-        # relations of *later* cascade stages, i.e. they fired mid-cascade.
-        assert "Publication" in probes and "Writes" in probes
-        # The original database never had observers attached (run() clones).
-        probes.clear()
-        list(db.candidates("Writes", {}))
-        assert probes == []
-
-
 class TestAdaptiveMatrixStaysGreen:
     def test_repair_engine_shared_context_matches_naive_oracle(self):
         for seed in range(6):
@@ -448,7 +182,7 @@ class TestAdaptiveMatrixStaysGreen:
             for backend_db in (memory, sqlite):
                 engine = RepairEngine(backend_db, program)
                 # Two passes over one shared context: the second exercises the
-                # steady-state keyed stage tables and the re-costed plans.
+                # steady-state keyed stage tables and the cached plans.
                 for _ in range(2):
                     results = engine.repair_all()
                     for member in Semantics:

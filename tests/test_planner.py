@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.datalog.context import EvalContext
 from repro.datalog.parser import parse_rule
 from repro.datalog.planner import JoinPlanner, plan_key
 from repro.storage.database import Database
+from repro.storage.facts import Fact
 from repro.storage.schema import Schema
 
 
@@ -82,3 +84,21 @@ class TestJoinPlanner:
         # and the plan starts from the smaller Big instead.
         assert planner.plan(rule, hypothetical=False).order == (1, 0)
         assert planner.plan(rule, hypothetical=True).order == (0, 1)
+
+    def test_cached_plans_are_permanent_across_rounds(self):
+        schema = Schema.from_arities({"R": 1, "S": 1})
+        db = Database.from_dicts(
+            schema, {"R": [(i,) for i in range(2)], "S": [(i,) for i in range(20)]},
+        )
+        planner = EvalContext().planner(db)
+        rule = parse_rule("delta R(x) :- R(x), S(x).")
+        cached = planner.plan(rule)
+        assert cached.order == (0, 1)  # R (2 facts) before S (20)
+        for value in range(100, 128):  # R grows 15x, to 30 facts
+            db.insert(Fact("R", (value,)))
+        planner.begin_round()
+        # The cached plan survives the round boundary untouched...
+        assert planner.plan(rule) is cached
+        # ...while a structure first planned after it is costed on the grown
+        # extents: S (20) now comes before R (30).
+        assert planner.plan(parse_rule("delta S(x) :- S(x), R(x).")).order == (0, 1)

@@ -23,7 +23,12 @@ from repro.datalog.incremental import (
     make_assignment_store,
     program_fingerprint,
 )
-from repro.exceptions import EvaluationError, ServicePoisonedError
+from repro.exceptions import (
+    ArityMismatchError,
+    EvaluationError,
+    ServicePoisonedError,
+    UnknownRelationError,
+)
 from repro.service import ENGINE_WARM, RepairService
 from repro.storage.database import Database
 from repro.storage.facts import Fact, fact
@@ -438,6 +443,45 @@ class TestApplyMany:
         for service in (coalesced, sequential):
             if isinstance(service.db, SQLiteDatabase):
                 service.db.close()
+
+
+# ---------------------------------------------------------------------------
+# Batch admission: malformed facts are rejected before any state changes
+# ---------------------------------------------------------------------------
+
+MALFORMED = {
+    "unknown-insert": (UnknownRelationError, [fact("X", 1)], []),
+    "unknown-delete": (UnknownRelationError, [], [fact("X", 1)]),
+    "arity-insert": (ArityMismatchError, [fact("N", 1, 2)], []),
+    "arity-delete": (ArityMismatchError, [], [fact("N", 1, 2)]),
+}
+
+
+@pytest.mark.parametrize("backend", ["memory", "sqlite"])
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_batch_is_rejected_and_service_stays_usable(
+    backend, case, tmp_path,
+):
+    schema, program = cascade_schema(), cascade_program()
+    db = make_db(backend, schema, cascade_facts(), tmp_path, "admit")
+    service = RepairService(db, program)
+    before = service.repair_deleted()
+    error, bad_inserts, bad_deletes = MALFORMED[case]
+    # The valid facts come first in the batch, so a check that ran while
+    # applying (not before) would already have changed state.
+    with pytest.raises(error):
+        service.apply_many(
+            [([fact("E", 8, 2), *bad_inserts], [fact("E", 2, 3), *bad_deletes])],
+        )
+    assert not service.poisoned
+    assert service.repair_deleted() == before
+    assert service.db.has_active(fact("E", 2, 3))
+    assert not service.db.has_active(fact("E", 8, 2))
+    assert service.is_derivable(fact("N", 0))
+    service.apply(inserts=[fact("E", 8, 2)], deletes=[fact("E", 2, 3)])
+    assert_matches_scratch(service, schema, program, backend, tmp_path, "admit2")
+    if isinstance(service.db, SQLiteDatabase):
+        service.db.close()
 
 
 # ---------------------------------------------------------------------------
