@@ -106,27 +106,18 @@ class TriggerEngine:
         self,
         db: BaseDatabase,
         initial_deletions: Iterable[Fact],
-        context=None,
     ) -> TriggerRun:
         """Delete ``initial_deletions`` and cascade through the triggers.
 
         The input database is cloned; the clone after the cascade is discarded
         (only the deletion set and order are reported, as in the paper).
-        ``context`` (an :class:`~repro.datalog.context.EvalContext`) lets the
-        per-event probe plans be shared with other runs — e.g. repeated
-        cascades of a trigger-comparison experiment — and subscribes the
-        context's assignment observers (``context.add_observer``) to the
-        cascade *as it runs*: each receives a probe match the moment a trigger
-        fires on it, mid-cascade rather than from the post-run report.
         """
         watch = Stopwatch()
         watch.start()
         working = db.clone()
         # Probe rules built per deletion event share their body structure per
         # trigger, so one planner caches a single join plan per trigger.
-        planner = (
-            context.planner(working) if context is not None else JoinPlanner(working)
-        )
+        planner = JoinPlanner(working)
         deleted: List[Fact] = []
         fired: List[tuple[str, Fact]] = []
         queue: deque[Fact] = deque()
@@ -153,10 +144,6 @@ class TriggerEngine:
                     target = assignment.derived
                     if not working.has_active(target):
                         continue
-                    if context is not None:
-                        # Mid-cascade delivery: observers hear about the
-                        # firing probe match before its deletion applies.
-                        context.notify(assignment)
                     working.delete(target)
                     deleted.append(target)
                     fired.append((trigger.name, target))

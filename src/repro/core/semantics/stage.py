@@ -24,14 +24,8 @@ With a shared :class:`~repro.datalog.context.EvalContext` (e.g. inside a
 cached join plans and compiled variants, built once and never rebuilt; a
 stage boundary
 (:meth:`~repro.datalog.planner.JoinPlanner.begin_round`) only makes plans
-first built in the next stage cost the shrunken extents.  When the context
-carries assignment *observers* each discovered assignment is delivered to
-them once per enumeration on both backends — the SQLite path stages the
-discovery join through the persistent keyed stage table so rows feed the
-observers and the live-assignment index from one join (see
-:mod:`repro.datalog.sql_seminaive`), the in-memory path mirrors its planned
-enumeration to the observers as it streams.  Without observers discovery
-stays on plain single-pass SELECTs / streamed joins.
+first built in the next stage cost the shrunken extents.  Discovery stays on
+plain single-pass SELECTs on SQLite and streamed planned joins in memory.
 """
 
 from __future__ import annotations
@@ -140,7 +134,6 @@ class _MemoryStageDiscovery:
 
         self._working = working
         self._rules = rules
-        self._context = context
         self._planner = (
             context.planner(working) if context is not None else JoinPlanner(working)
         )
@@ -159,23 +152,9 @@ class _MemoryStageDiscovery:
             relation: working.delta_token(relation) for relation in self._relations
         }
 
-    def _deliver(self, assignments: Iterable[Assignment]) -> Iterator[Assignment]:
-        """Yield ``assignments``, mirroring each to the context's assignment
-        observers (same delivery the SQL discovery path performs while
-        staging) — a no-op pass-through without observers."""
-        context = self._context
-        if context is None or not context.has_observers:
-            yield from assignments
-            return
-        for assignment in assignments:
-            context.notify(assignment)
-            yield assignment
-
     def initial(self) -> Iterator[Assignment]:
         for rule in self._rules:
-            yield from self._deliver(
-                find_assignments(self._working, rule, planner=self._planner),
-            )
+            yield from find_assignments(self._working, rule, planner=self._planner)
 
     def newly_enabled(self) -> Iterator[Assignment]:
         from repro.datalog.seminaive import seeded_assignments
@@ -191,8 +170,8 @@ class _MemoryStageDiscovery:
                 frontier[relation] = set(added)
         if frontier:
             for rule in self._delta_rules:
-                yield from self._deliver(
-                    seeded_assignments(self._working, rule, frontier, self._planner),
+                yield from seeded_assignments(
+                    self._working, rule, frontier, self._planner,
                 )
 
 

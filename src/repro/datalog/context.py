@@ -1,9 +1,9 @@
-"""Shared evaluation context: plan caches, assignment observers, query stats.
+"""Shared evaluation context: plan caches and query stats.
 
 One :class:`EvalContext` groups a family of fixpoint runs that should share
 their planning work — typically the four semantics of one
 :class:`~repro.core.repair.RepairEngine.compare` call, which evaluate the same
-program against clones of the same database.  The context carries three kinds
+program against clones of the same database.  The context carries two kinds
 of shared state:
 
 * **plan caches** — a structural :class:`~repro.datalog.planner.JoinPlan`
@@ -12,32 +12,26 @@ of shared state:
   frontier variants for the SQLite engine (:meth:`frontier_variants`), so one
   ``compare()`` run plans each rule structure and compiles each rule exactly
   once across all four semantics;
-* **assignment observers** — callables invoked once per *new* assignment a
-  closure enumerates (:meth:`add_observer` / :meth:`notify`).  Observers are
-  the reason a SQLite round materialises its staged rows at all: when a run
-  has no observer, no ``on_assignment`` hook and ``collect_assignments=False``,
-  the SQL driver skips assignment enumeration entirely and installs head facts
-  straight from the single join (the *fast path*);
 * **query statistics** (:class:`QueryStats`) — counters the SQL driver bumps
   per executed statement class, used by the regression tests and the benchmark
   smoke run to assert that every rule variant's join runs exactly once per
   round (no double-join).
+
+Assignments are consumed per call, never through the context: the closure
+engines take an ``on_assignment`` hook and a ``collect_assignments`` flag,
+and the SQLite driver takes its install-only fast path when neither is set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.datalog.ast import Rule
-    from repro.datalog.evaluation import Assignment
     from repro.datalog.planner import JoinPlanner
     from repro.datalog.sql_compiler import FrontierQuery
     from repro.storage.database import BaseDatabase
-
-#: Signature of an assignment observer.
-AssignmentObserver = Callable[["Assignment"], None]
 
 
 @dataclass
@@ -52,9 +46,9 @@ class QueryStats:
     ----------
     staged_selects:
         Keyed ``INSERT INTO _repro_stage_wN ... SELECT`` statements — one
-        *join* each; the staged rows then feed the observers (and, in the
-        closure driver, the install).  Includes the staged stage-discovery
-        joins run when a context is shared across semantics.
+        *join* each, run by the closure driver when the assignments are
+        consumed (``collect_assignments`` or an ``on_assignment`` hook); the
+        staged rows then feed the consumer and the install.
     stage_ddl:
         ``CREATE TEMP TABLE``/``CREATE INDEX`` statements creating a keyed
         stage table — at most one table per distinct variant width per
@@ -65,12 +59,11 @@ class QueryStats:
         the staged rows, **not** a join over the base tables.
     direct_installs:
         Fast-path ``INSERT OR IGNORE ... SELECT`` over the base tables — one
-        join each, used when no observer needs the assignments.
+        join each, used when nothing consumes the assignments.
     assignment_selects:
         Plain streaming assignment ``SELECT`` joins run under a context —
-        the stage-semantics discovery path when no assignment observer is
-        registered (staging would be pure overhead with a single consumer;
-        the gate mirrors the closure driver's ``observing`` flag).
+        the stage-semantics and maintenance discovery path, which only
+        enumerates (no install), so nothing is staged.
     replans:
         Always zero.  Kept (with :attr:`noop_replans`) because external
         benchmark readers still read both counters by name; cached join
@@ -84,7 +77,7 @@ class QueryStats:
     effective_shards:
         Always zero, like :attr:`shard_selects`.
     replay_batches:
-        Bounded chunks in which staged rows were replayed to observers
+        Bounded chunks in which staged rows were read back to the consumer
         (:data:`~repro.datalog.sql_seminaive.STAGE_REPLAY_CHUNK` rows per
         chunk) instead of one unbounded Python round trip.
     variant_compiles:
@@ -154,28 +147,6 @@ class QueryStats:
         """Total statements that join the base/frontier tables."""
         return self.staged_selects + self.direct_installs + self.assignment_selects
 
-    def reset(self) -> None:
-        """Zero every counter (the benchmark reuses one context per run)."""
-        self.staged_selects = 0
-        self.stage_ddl = 0
-        self.staged_installs = 0
-        self.direct_installs = 0
-        self.assignment_selects = 0
-        self.replans = 0
-        self.noop_replans = 0
-        self.variant_compiles = 0
-        self.shard_selects = 0
-        self.effective_shards = 0
-        self.replay_batches = 0
-        self.wcoj_rules = 0
-        self.wcoj_intersections = 0
-        self.width_estimates = 0
-        self.maintained_batches = 0
-        self.overdeleted = 0
-        self.rederived = 0
-        self.counted_deletes = 0
-        self.dred_fallbacks = 0
-
 
 @dataclass
 class EvalContext:
@@ -191,7 +162,6 @@ class EvalContext:
     stats: QueryStats = field(default_factory=QueryStats)
     _plans: Dict = field(default_factory=dict, repr=False)
     _variants: Dict = field(default_factory=dict, repr=False)
-    _observers: List[AssignmentObserver] = field(default_factory=list, repr=False)
 
     # -- planning ---------------------------------------------------------------
 
@@ -206,10 +176,6 @@ class EvalContext:
         from repro.datalog.planner import JoinPlanner
 
         return JoinPlanner(db, plans=self._plans, stats=self.stats)
-
-    def plan_cache_size(self) -> int:
-        """Number of distinct rule structures planned so far."""
-        return len(self._plans)
 
     def frontier_variants(
         self, rule: "Rule",
@@ -238,42 +204,3 @@ class EvalContext:
             cached = compile_frontier_rule(rule, plan_kind=key[1])
             self._variants[key] = cached
         return cached
-
-    def query_context(self) -> "EvalContext":
-        """A derived context sharing stats and caches — but no observers.
-
-        The incremental-maintenance layer (:mod:`repro.datalog.incremental`)
-        runs internal discovery queries that must benefit from this context's
-        plan/variant caches and account into the same :class:`QueryStats`,
-        while observer delivery stays under the caller's exactly-once
-        deduplication — the SQL discovery path notifies context observers
-        itself, so handing it the primary context would deliver assignments
-        twice.
-        """
-        derived = EvalContext(stats=self.stats)
-        derived._plans = self._plans
-        derived._variants = self._variants
-        return derived
-
-    # -- observers --------------------------------------------------------------
-
-    def add_observer(self, observer: AssignmentObserver) -> None:
-        """Register ``observer`` to receive every new assignment enumerated."""
-        self._observers.append(observer)
-
-    def remove_observer(self, observer: AssignmentObserver) -> None:
-        """Unregister a previously added observer (no-op when absent)."""
-        try:
-            self._observers.remove(observer)
-        except ValueError:
-            pass
-
-    @property
-    def has_observers(self) -> bool:
-        """True when at least one observer is registered."""
-        return bool(self._observers)
-
-    def notify(self, assignment: "Assignment") -> None:
-        """Deliver one new assignment to every registered observer."""
-        for observer in self._observers:
-            observer(assignment)

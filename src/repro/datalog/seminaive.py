@@ -19,22 +19,20 @@ Rounds are stage-style: facts derived during a round are recorded at its end,
 so the frontier of round ``k+1`` is exactly what round ``k`` produced and the
 round count is deterministic and rule-order independent.
 
-Observer API
-------------
+Assignment consumers
+--------------------
 
-Assignment consumers attach in three interchangeable ways, mirroring the SQL
-driver (:mod:`repro.datalog.sql_seminaive`): the per-call ``on_assignment``
-hook, observers registered on a shared
-:class:`~repro.datalog.context.EvalContext` (``context.add_observer``), and
+Assignments reach their consumers in two ways, mirroring the SQL driver
+(:mod:`repro.datalog.sql_seminaive`): the per-call ``on_assignment`` hook and
 the returned :class:`~repro.datalog.evaluation.ClosureResult` assignment list
-(suppressed with ``collect_assignments=False``).  Every observer sees every
-*new* assignment exactly once, in derivation-round order.  The in-memory
-engine always enumerates assignments in Python (the derivation itself needs
-them), so unlike the SQL driver there is no install-only fast path — the
-flags only control retention and delivery.  A ``context`` additionally
-supplies the planner, backed by the context's shared structural plan cache so
-several runs (e.g. the four semantics of one ``compare()``) plan each rule
-shape once.
+(suppressed with ``collect_assignments=False``).  The hook sees every *new*
+assignment exactly once, in derivation-round order.  The in-memory engine
+always enumerates assignments in Python (the derivation itself needs them),
+so unlike the SQL driver there is no install-only fast path — the flags only
+control retention and delivery.  A shared
+:class:`~repro.datalog.context.EvalContext` supplies the planner, backed by
+the context's structural plan cache so several runs (e.g. the four semantics
+of one ``compare()``) plan each rule shape once.
 """
 
 from __future__ import annotations
@@ -152,7 +150,6 @@ def semi_naive_closure(
     program: Program | Iterable[Rule],
     on_assignment=None,
     max_rounds: int | None = None,
-    planner: JoinPlanner | None = None,
     collect_assignments: bool = True,
     context=None,
 ) -> ClosureResult:
@@ -163,12 +160,11 @@ def semi_naive_closure(
     assignments reachable from the previous round's frontier are enumerated.
     The active extents are never touched (:meth:`BaseDatabase.mark_deleted`
     only records deletions), matching end-semantics style derivation.  See
-    the module docstring for the observer knobs (``on_assignment``,
-    ``context`` observers, ``collect_assignments``).
+    the module docstring for the consumer knobs (``on_assignment``,
+    ``collect_assignments``).
     """
     rules = list(program)
-    if planner is None:
-        planner = context.planner(db) if context is not None else JoinPlanner(db)
+    planner = context.planner(db) if context is not None else JoinPlanner(db)
     delta_rules = [rule for rule in rules if any(atom.is_delta for atom in rule.body)]
     relations = sorted(
         {atom.relation for rule in delta_rules for atom in rule.body if atom.is_delta},
@@ -188,8 +184,6 @@ def semi_naive_closure(
             all_assignments.append(assignment)
         if on_assignment is not None:
             on_assignment(assignment)
-        if context is not None:
-            context.notify(assignment)
         derived_now.append(assignment.derived)
 
     rounds = 0

@@ -38,10 +38,11 @@ can evaluate its join **exactly once per round**:
   per-round cycle is ``DELETE`` (:attr:`~FrontierQuery.stage_delete_sql`) then
   ``INSERT ... SELECT``;
 * :attr:`FrontierQuery.staged_install_sql` — staged path, step 2: the install
-  re-expressed over the variant's staged rows, so observers (assignment
-  collection, provenance builders, stage discovery) and the install both read
-  the single join's output instead of re-running it.  Observers read the rows
-  back via :attr:`~FrontierQuery.staged_rows_sql`.
+  re-expressed over the variant's staged rows, so the assignment consumer
+  (assignment collection, an ``on_assignment`` hook such as a provenance
+  builder) and the install both read the single join's output instead of
+  re-running it.  The consumer reads the rows back via
+  :attr:`~FrontierQuery.staged_rows_sql`.
 
 Each statement embeds a ``/* repro:<class> */`` tag comment
 (:data:`TAG_ASSIGN_SELECT` ...), which the query-counter hooks of

@@ -22,8 +22,8 @@ Integration contract
 * The drop-in entry points return plain :class:`Assignment` lists built by the
   same ``_finalize`` machinery as the binary path — body order, comparison
   checking and duplicate semantics are identical, so the semi-naive
-  frontier/record pipeline (exactly-once observer delivery included) is
-  unchanged.
+  frontier/record pipeline (exactly-once ``on_assignment`` delivery
+  included) is unchanged.
 * Seeded enumeration (:func:`wcoj_seeded_assignments`) mirrors
   :func:`~repro.datalog.seminaive.seeded_rank_assignments`: the seed fact is
   unified first and ``excluded`` rejects assignments whose pre-frontier delta

@@ -26,7 +26,7 @@ from typing import Any, Dict, Iterable, Iterator, Mapping, Sequence
 from repro.exceptions import ArityMismatchError, StorageError, UnknownRelationError
 from repro.storage.facts import Fact
 from repro.storage.indexes import RelationIndex
-from repro.storage.schema import RelationSchema, Schema
+from repro.storage.schema import Schema
 
 
 class BaseDatabase(ABC):
@@ -283,9 +283,6 @@ class Database(BaseDatabase):
     @property
     def schema(self) -> Schema:
         return self._schema
-
-    def _relation_schema(self, relation: str) -> RelationSchema:
-        return self._schema.relation(relation)
 
     # -- reading -----------------------------------------------------------------
 

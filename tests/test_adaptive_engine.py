@@ -1,18 +1,16 @@
 """Tests for the SQLite staging layer and its shared-context matrix.
 
-Three groups:
+Two groups:
 
 * **keyed stage tables** — the SQLite staged path persists one temp table per
   variant width (``_repro_stage_wN`` with a ``variant_id`` key) instead of
   dropping and recreating ``_repro_stage`` per variant execution, so
   steady-state rounds issue zero DDL (no ``DROP TABLE``/``CREATE TEMP
   TABLE``);
-* **staged stage-discovery** — with a shared context, stage-semantics
-  discovery joins stage through the same keyed tables (covered in
-  ``tests/test_sql_staging.py``; the matrix check here exercises it through
-  :class:`~repro.core.repair.RepairEngine`);
 * **matrix** — repeated ``repair_all()`` passes over one shared context, on
-  both backends, match the naive oracle.
+  both backends, match the naive oracle.  Stage-semantics discovery under a
+  shared context runs plain SELECTs and never stages (pinned in
+  ``tests/test_sql_staging.py``).
 """
 
 from __future__ import annotations
@@ -138,29 +136,6 @@ class TestKeyedStageTables:
                 f"SELECT COUNT(*) FROM {stage_table_name(width)}",
             ).fetchone()
             assert rows[0] == 0, width
-        # Staged discovery (observer-bearing context) cleans up after itself
-        # too; it runs on the clone stage semantics returns as the repaired
-        # database.
-        from repro.core.semantics import stage_semantics
-
-        ctx.add_observer(lambda assignment: None)
-        result = stage_semantics(db, program, context=ctx)
-        assert result.deleted
-        repaired = result.repaired
-        staged_tables = 0
-        for width in widths:
-            exists = repaired.execute(
-                "SELECT name FROM sqlite_temp_master WHERE name = ?",
-                (stage_table_name(width),),
-            ).fetchone()
-            if exists is None:
-                continue
-            staged_tables += 1
-            rows = repaired.execute(
-                f"SELECT COUNT(*) FROM {stage_table_name(width)}",
-            ).fetchone()
-            assert rows[0] == 0, width
-        assert staged_tables > 0
 
     def test_keyed_staging_matches_fast_path_fixpoint(self):
         db, program = cascade_fixture()

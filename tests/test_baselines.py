@@ -7,7 +7,6 @@ from repro.baselines import FiringPolicy, HoloCleanStyleRepairer, TriggerEngine
 from repro.baselines.trigger_engine import seed_deletions
 from repro.constraints.triggers import DeleteTrigger
 from repro.datalog.ast import make_atom
-from repro.datalog.context import EvalContext
 from repro.datalog.delta import DeltaProgram
 from repro.exceptions import ExperimentError
 from repro.workloads.errors import generate_author_table, inject_errors
@@ -95,19 +94,6 @@ class TestTriggerEngine:
         )
         assert run.size == len(run.deleted)
         assert run.runtime >= 0.0
-
-    def test_context_observers_hear_each_firing_in_cascade_order(
-        self, academic_db,
-    ):
-        program = cascade_program()
-        context = EvalContext()
-        assignments = []
-        context.add_observer(assignments.append)
-        run = TriggerEngine.from_program(program).run(
-            academic_db, seed_deletions(academic_db, program), context=context,
-        )
-        # Every cascaded deletion (everything after the seed) was announced.
-        assert [a.derived for a in assignments] == list(run.deletion_order[1:])
 
 
 class TestHoloCleanStyleRepairer:

@@ -7,8 +7,7 @@ from-scratch fixpoint on the resulting base instance, on both backends.
 Alongside the randomized differential, targeted tests pin the DRed
 over-delete / re-derive behaviour (cascade retraction, rescue through an
 alternate derivation, re-insertion through a fresh frontier entry), the
-maintenance counters, the point queries, and the exactly-once observer
-stream across load + batches.
+maintenance counters and the point queries.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ import random
 
 import pytest
 
-from repro.datalog.context import EvalContext
 from repro.datalog.delta import DeltaProgram
 from repro.datalog.evaluation import run_closure
 from repro.exceptions import EvaluationError
@@ -142,12 +140,12 @@ class TestRandomizedDifferential:
 
 @pytest.mark.parametrize("backend", ["memory", "sqlite"])
 class TestMaintenanceBehaviour:
-    def make_service(self, backend, tmp_path, facts=None, context=None):
+    def make_service(self, backend, tmp_path, facts=None):
         schema, program = cascade_schema(), cascade_program()
         db = make_db(
             backend, schema, cascade_facts() if facts is None else facts, tmp_path, "svc",
         )
-        return RepairService(db, program, context=context), schema, program
+        return RepairService(db, program), schema, program
 
     def test_load_requires_empty_delta(self, backend, tmp_path):
         schema, program = cascade_schema(), cascade_program()
@@ -236,24 +234,3 @@ class TestMaintenanceBehaviour:
         service.apply(deletes=[fact("E", 0, 1)], inserts=[fact("E", 0, 1)])
         assert service.db.has_active(fact("E", 0, 1))
         assert service.is_derivable(fact("N", 1))
-
-    def test_observers_see_every_assignment_exactly_once(self, backend, tmp_path):
-        context = EvalContext()
-        delivered = []
-        context.add_observer(delivered.append)
-        service, _, _ = self.make_service(backend, tmp_path, context=context)
-        load_count = len(delivered)
-        assert load_count == len(service.assignments())
-        load_sigs = [a.signature() for a in delivered]
-        assert len(set(load_sigs)) == len(load_sigs)
-        service.apply(deletes=[fact("E", 0, 1)])
-        assert len(delivered) == load_count  # deletions never deliver
-        service.apply(inserts=[fact("E", 0, 1)])
-        # Re-derived assignments left the store on deletion, so the
-        # re-insertion batch delivers each of them exactly once more.
-        batch_sigs = [a.signature() for a in delivered[load_count:]]
-        assert batch_sigs and len(set(batch_sigs)) == len(batch_sigs)
-        assert set(batch_sigs) <= set(load_sigs)
-        # The closure is restored: live assignments equal the original load.
-        live = {a.signature() for a in service.assignments()}
-        assert live == set(load_sigs)

@@ -14,7 +14,6 @@ import random
 
 import pytest
 
-from repro.datalog.context import EvalContext
 from repro.datalog.delta import DeltaProgram
 from repro.datalog.evaluation import run_closure
 from repro.datalog.incremental import (
@@ -26,6 +25,7 @@ from repro.datalog.incremental import (
 from repro.exceptions import (
     ArityMismatchError,
     EvaluationError,
+    SchemaError,
     ServicePoisonedError,
     UnknownRelationError,
 )
@@ -150,9 +150,9 @@ def assert_matches_scratch(service, schema, program, backend, tmp_path, tag):
 
 
 class TestWarmRestart:
-    def reopen(self, path, schema, program, context=None, **kwargs):
+    def reopen(self, path, schema, program, **kwargs):
         db = SQLiteDatabase(schema, path=path)
-        return db, RepairService(db, program, context=context, **kwargs)
+        return db, RepairService(db, program, **kwargs)
 
     def test_store_backend_selection(self, tmp_path):
         schema = cascade_schema()
@@ -197,36 +197,6 @@ class TestWarmRestart:
         assert_matches_scratch(warmed, schema, program, "sqlite-file", tmp_path, "w1")
         warmed.apply(deletes=[fact("S", 0)])
         assert_matches_scratch(warmed, schema, program, "sqlite-file", tmp_path, "w2")
-        db2.close()
-
-    def test_warm_restart_replays_observers_in_record_order(self, tmp_path):
-        schema, program = cascade_schema(), cascade_program()
-        path = str(tmp_path / "replay.db")
-        db = SQLiteDatabase(schema, path=path)
-        db.insert_all(cascade_facts())
-        context = EvalContext()
-        first_stream = []
-        context.add_observer(first_stream.append)
-        service = RepairService(db, program, context=context)
-        service.apply(deletes=[fact("E", 0, 1)])
-        service.apply(inserts=[fact("E", 0, 1)])
-        live = [a.signature() for a in service.assignments()]
-        db.close()
-
-        replay_context = EvalContext()
-        replayed = []
-        replay_context.add_observer(replayed.append)
-        db2, warmed = self.reopen(path, schema, program, context=replay_context)
-        replay_sigs = [a.signature() for a in replayed]
-        # Exactly the live assignments, once each, in original record order
-        # (persisted aids are monotone in record order).
-        assert replay_sigs == live
-        assert len(set(replay_sigs)) == len(replay_sigs)
-        # New batches keep delivering exactly-once on top of the replay.
-        warmed.apply(deletes=[fact("E", 0, 1)])
-        warmed.apply(inserts=[fact("E", 0, 1)])
-        later = [a.signature() for a in replayed[len(replay_sigs):]]
-        assert later and len(set(later)) == len(later)
         db2.close()
 
     def test_dirty_store_refuses_warm_restart(self, tmp_path):
@@ -454,6 +424,10 @@ MALFORMED = {
     "unknown-delete": (UnknownRelationError, [], [fact("X", 1)]),
     "arity-insert": (ArityMismatchError, [fact("N", 1, 2)], []),
     "arity-delete": (ArityMismatchError, [], [fact("N", 1, 2)]),
+    "type-insert": (SchemaError, [fact("N", "a")], []),
+    "type-delete": (SchemaError, [], [fact("N", "a")]),
+    "none-insert": (SchemaError, [fact("N", None)], []),
+    "none-delete": (SchemaError, [], [fact("N", None)]),
 }
 
 
